@@ -20,9 +20,7 @@
 //! realization of the RWA optimum — so at least one feasible candidate
 //! always exists (this is also exactly ARROW-Naive's plan).
 
-use arrow_optical::rwa::{
-    greedy_assign, is_feasible, solve_relaxed, solve_relaxed_batch, RwaConfig, RwaSolution,
-};
+use arrow_optical::rwa::{greedy_assign, is_feasible, solve_relaxed, RwaConfig};
 use arrow_te::restoration::{RestorationTicket, TicketSet};
 use arrow_topology::{FailureScenario, ScenarioUniverse, Wan};
 use rand::rngs::StdRng;
@@ -48,14 +46,6 @@ pub struct LotteryConfig {
     /// a fallback when the feasibility filter rejects every rounded
     /// ticket (the paper leaves that corner case unspecified).
     pub include_naive: bool,
-    /// Scenario LPs per batched solve in the sharded offline path
-    /// ([`generate_tickets_shard`]): chunks of this many scenarios submit
-    /// their relaxed RWA LPs as one [`arrow_lp::solve_batch`] call, so
-    /// structurally identical LPs share a multi-RHS panel. `<= 1` keeps
-    /// the legacy one-LP-per-scenario path. Ticket bytes are identical
-    /// either way (the batch layer's bitwise contract —
-    /// `crates/core/tests/batch_lp.rs` pins it); only throughput changes.
-    pub batch_lanes: usize,
     /// RWA settings (surrogate paths, retuning, modulation).
     pub rwa: RwaConfig,
     /// Master RNG seed for ticket generation.
@@ -78,7 +68,6 @@ impl Default for LotteryConfig {
             feasibility_filter: true,
             dedupe: true,
             include_naive: false,
-            batch_lanes: 16,
             // Per Appendix A.1 the RWA keeps the current modulation when
             // the surrogate path's length permits and otherwise steps down
             // to the best alternative — without this, high-rate links
@@ -102,10 +91,15 @@ pub struct FractionalRestoration {
     pub gbps_per_wavelength: f64,
 }
 
-/// Maps an [`RwaSolution`]'s lightpath restorations onto IP links. Links
-/// whose lightpath has no surrogate path get `λ_e = 0`.
-fn restorations_from(wan: &Wan, sol: &RwaSolution) -> Vec<FractionalRestoration> {
-    sol.links
+/// Solves the RWA relaxation for one scenario and maps the result onto IP
+/// links. Links whose lightpath has no surrogate path get `λ_e = 0`.
+pub fn fractional_seed(
+    wan: &Wan,
+    scenario: &FailureScenario,
+    rwa: &RwaConfig,
+) -> Vec<FractionalRestoration> {
+    solve_relaxed(&wan.optical, &scenario.cut_fibers, rwa)
+        .links
         .iter()
         .filter_map(|l| {
             let link = wan.link_of_lightpath(l.lightpath)?;
@@ -117,34 +111,6 @@ fn restorations_from(wan: &Wan, sol: &RwaSolution) -> Vec<FractionalRestoration>
             })
         })
         .collect()
-}
-
-/// Solves the RWA relaxation for one scenario and maps the result onto IP
-/// links.
-pub fn fractional_seed(
-    wan: &Wan,
-    scenario: &FailureScenario,
-    rwa: &RwaConfig,
-) -> Vec<FractionalRestoration> {
-    let sol = solve_relaxed(&wan.optical, &scenario.cut_fibers, rwa);
-    restorations_from(wan, &sol)
-}
-
-/// Relaxed-RWA seeds for a chunk of scenarios via one batched LP solve
-/// ([`solve_relaxed_batch`]). Returns each scenario's seed paired with its
-/// amortized share of the chunk's RWA seconds. Seeds are bitwise identical
-/// to per-scenario [`fractional_seed`] calls.
-fn fractional_seed_batch(
-    wan: &Wan,
-    scens: &[&FailureScenario],
-    rwa: &RwaConfig,
-) -> Vec<(Vec<FractionalRestoration>, f64)> {
-    // arrow-lint: allow(wall-clock-in-core) — RWA timing feeds ScenarioStats reporting; ticket contents never depend on it
-    let t0 = std::time::Instant::now();
-    let cuts: Vec<_> = scens.iter().map(|s| s.cut_fibers.as_slice()).collect();
-    let sols = solve_relaxed_batch(&wan.optical, &cuts, rwa);
-    let share = t0.elapsed().as_secs_f64() / scens.len().max(1) as f64;
-    sols.iter().map(|sol| (restorations_from(wan, sol), share)).collect()
 }
 
 /// The greedy exact realization of the RWA optimum — ARROW-Naive's single
@@ -333,42 +299,24 @@ impl OfflineStats {
 /// Algorithm 1 for a single scenario, on its own derived RNG stream.
 ///
 /// This is the unit of work both the serial reference and the parallel
-/// pool execute; it depends only on `(wan, scen, index, cfg)`.
+/// pool execute; it depends only on `(wan, scen, index, cfg)`. The
+/// `offline.scenario` span and [`ScenarioStats::seconds`] cover all of it:
+/// the relaxed-RWA solve, the rounding draws and the feasibility filter.
 fn scenario_tickets(
     wan: &Wan,
     scen: &FailureScenario,
     index: usize,
     cfg: &LotteryConfig,
 ) -> (Vec<RestorationTicket>, ScenarioStats) {
-    // arrow-lint: allow(wall-clock-in-core) — RWA timing feeds ScenarioStats reporting; ticket contents never depend on it
-    let t_rwa = std::time::Instant::now();
-    let seed = fractional_seed(wan, scen, &cfg.rwa);
-    let rwa_seconds = t_rwa.elapsed().as_secs_f64();
-    round_and_filter(wan, scen, index, cfg, &seed, rwa_seconds)
-}
-
-/// The rounding/filtering half of Algorithm 1 for one scenario, given its
-/// fractional seed and the seconds spent producing it.
-///
-/// Owns the scenario's derived RNG stream (the rounding draws are the only
-/// consumer), so tickets depend solely on `(wan, scen, index, cfg, seed)` —
-/// identical whether the seed came from a sequential or a batched RWA
-/// solve.
-fn round_and_filter(
-    wan: &Wan,
-    scen: &FailureScenario,
-    index: usize,
-    cfg: &LotteryConfig,
-    seed: &[FractionalRestoration],
-    rwa_seconds: f64,
-) -> (Vec<RestorationTicket>, ScenarioStats) {
     let _span = arrow_obs::span!(
         "offline.scenario",
         "scenario" => index,
         "cut_fibers" => scen.cut_fibers.len(),
     );
-    // arrow-lint: allow(wall-clock-in-core) — rounding timing feeds ScenarioStats reporting; ticket contents never depend on it
-    let t_round = std::time::Instant::now();
+    // arrow-lint: allow(wall-clock-in-core) — scenario timing feeds ScenarioStats reporting; ticket contents never depend on it
+    let t0 = std::time::Instant::now();
+    let seed = fractional_seed(wan, scen, &cfg.rwa);
+    let rwa_seconds = t0.elapsed().as_secs_f64();
     let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, index as u64));
     let mut stats = ScenarioStats {
         scenario: index,
@@ -386,7 +334,7 @@ fn round_and_filter(
     }
     for _ in tickets.len()..cfg.num_tickets {
         stats.rounds += 1;
-        let counts = round_once(&mut rng, seed, cfg.delta);
+        let counts = round_once(&mut rng, &seed, cfg.delta);
         if cfg.feasibility_filter {
             let targets: Vec<_> =
                 seed.iter().zip(&counts).map(|(f, &c)| (wan.link(f.link).lightpath, c)).collect();
@@ -415,7 +363,7 @@ fn round_and_filter(
         stats.naive_fallback = true;
     }
     stats.kept = tickets.len();
-    stats.seconds = rwa_seconds + t_round.elapsed().as_secs_f64();
+    stats.seconds = t0.elapsed().as_secs_f64();
     offline_metrics().record_scenario(&stats);
     (tickets, stats)
 }
@@ -557,6 +505,15 @@ impl ShardSpec {
     }
 }
 
+/// Scenarios per work item in [`generate_tickets_shard`]. One scenario per
+/// item finished a 64-scenario IBM universe faster on a 2-vCPU host, but it
+/// also spread a 4-scenario B4 universe over both threads and raised peak
+/// RSS by about 30% — probably because every concurrent relaxed-RWA solve
+/// holds its own dense simplex basis inverse. Chunks keep small universes
+/// on one worker. The chunk layout, like the thread count, never changes
+/// ticket bytes.
+const SHARD_CHUNK: usize = 16;
+
 /// Generates tickets for one shard of a compiled scenario universe.
 ///
 /// The returned [`TicketSet`] covers exactly the universe indices in
@@ -570,17 +527,7 @@ pub fn generate_tickets_shard(
     cfg: &LotteryConfig,
     shard: ShardSpec,
 ) -> (TicketSet, OfflineStats) {
-    generate_tickets_shard_with_threads(wan, universe, cfg, shard, crate::par::default_threads())
-}
-
-/// [`generate_tickets_shard`] with an explicit worker count.
-pub fn generate_tickets_shard_with_threads(
-    wan: &Wan,
-    universe: &ScenarioUniverse,
-    cfg: &LotteryConfig,
-    shard: ShardSpec,
-    threads: usize,
-) -> (TicketSet, OfflineStats) {
+    let threads = crate::par::default_threads();
     let globals = shard.indices(universe.len());
     let _span = arrow_obs::span!(
         "offline",
@@ -592,30 +539,14 @@ pub fn generate_tickets_shard_with_threads(
     );
     // arrow-lint: allow(wall-clock-in-core) — offline-stage wall time feeds OfflineStats reporting; ticket contents never depend on it
     let t0 = std::time::Instant::now();
-    let results: Vec<(Vec<RestorationTicket>, ScenarioStats)> = if cfg.batch_lanes >= 2 {
-        // Batched path: chunks of `batch_lanes` scenarios submit their
-        // relaxed RWA LPs as one multi-RHS solve, then round per scenario.
-        // Chunking happens after the strided shard selection, so the
-        // chunk layout (like the thread count) never changes ticket bytes.
-        let chunks: Vec<Vec<usize>> = globals.chunks(cfg.batch_lanes).map(|c| c.to_vec()).collect();
-        let per_chunk = crate::par::parallel_map_with(threads, chunks, |chunk| {
-            let scens: Vec<&FailureScenario> =
-                chunk.iter().map(|&g| universe.scenario(g)).collect();
-            let seeds = fractional_seed_batch(wan, &scens, &cfg.rwa);
-            chunk
-                .iter()
-                .zip(scens.iter().zip(seeds))
-                .map(|(&g, (scen, (seed, rwa_seconds)))| {
-                    round_and_filter(wan, scen, g, cfg, &seed, rwa_seconds)
-                })
-                .collect::<Vec<_>>()
-        });
-        per_chunk.into_iter().flatten().collect()
-    } else {
-        crate::par::parallel_map_with(threads, globals.clone(), |&g| {
-            scenario_tickets(wan, universe.scenario(g), g, cfg)
-        })
-    };
+    let chunks: Vec<&[usize]> = globals.chunks(SHARD_CHUNK).collect();
+    let per_chunk = crate::par::parallel_map_with(threads, chunks, |chunk| {
+        chunk
+            .iter()
+            .map(|&g| scenario_tickets(wan, universe.scenario(g), g, cfg))
+            .collect::<Vec<_>>()
+    });
+    let results: Vec<_> = per_chunk.into_iter().flatten().collect();
     let mut entries = Vec::with_capacity(results.len());
     let mut stats = OfflineStats {
         per_scenario: Vec::with_capacity(results.len()),

@@ -10,6 +10,8 @@ use arrow_core::lottery::{
     derive_seed, generate_tickets, generate_tickets_serial, generate_tickets_shard,
     generate_tickets_universe, generate_tickets_with_threads, LotteryConfig, ShardSpec,
 };
+use arrow_lp::SolverConfig;
+use arrow_optical::rwa::RwaConfig;
 use arrow_te::TicketSet;
 use arrow_topology::{
     b4, compile_universe, generate_failures, ibm, FailureConfig, FailureScenario, UniverseConfig,
@@ -25,23 +27,31 @@ fn setup(max_scenarios: usize) -> (Wan, Vec<FailureScenario>) {
 #[test]
 fn ticket_sets_identical_across_thread_counts() {
     let (wan, scens) = setup(8);
-    let cfg = LotteryConfig { num_tickets: 10, ..Default::default() };
-    let reference = generate_tickets_serial(&wan, &scens, &cfg);
+    let default_cfg = LotteryConfig { num_tickets: 10, ..Default::default() };
+    // Pinning PDHG routes every relaxed-RWA LP through the first-order
+    // backend, whose iterates must be just as schedule-independent.
+    let pdhg_cfg = LotteryConfig {
+        rwa: RwaConfig { solver: SolverConfig::first_order(1e-6), ..default_cfg.rwa.clone() },
+        ..default_cfg.clone()
+    };
+    for cfg in [default_cfg, pdhg_cfg] {
+        let reference = generate_tickets_serial(&wan, &scens, &cfg);
 
-    // The reference itself must be non-trivial or the test proves nothing.
-    assert_eq!(reference.per_scenario.len(), scens.len());
-    assert!(reference.total_tickets() > scens.len(), "want multiple tickets somewhere");
+        // The reference itself must be non-trivial or the test proves nothing.
+        assert_eq!(reference.per_scenario.len(), scens.len());
+        assert!(reference.total_tickets() > scens.len(), "want multiple tickets somewhere");
 
-    for threads in [1, 2, 3, 4, 8, 32] {
-        let (set, stats) = generate_tickets_with_threads(&wan, &scens, &cfg, threads);
-        assert_eq!(set, reference, "TicketSet diverged at {threads} threads");
-        assert_eq!(set.digest(), reference.digest(), "digest diverged at {threads} threads");
-        assert_eq!(stats.per_scenario.len(), scens.len());
-        assert_eq!(stats.total_kept(), set.total_tickets());
+        for threads in [1, 2, 3, 4, 8, 32] {
+            let (set, stats) = generate_tickets_with_threads(&wan, &scens, &cfg, threads);
+            assert_eq!(set, reference, "TicketSet diverged at {threads} threads");
+            assert_eq!(set.digest(), reference.digest(), "digest diverged at {threads} threads");
+            assert_eq!(stats.per_scenario.len(), scens.len());
+            assert_eq!(stats.total_kept(), set.total_tickets());
+        }
+
+        // The default entry point (pool sized by the environment) agrees too.
+        assert_eq!(generate_tickets(&wan, &scens, &cfg), reference);
     }
-
-    // The default entry point (pool sized by the environment) agrees too.
-    assert_eq!(generate_tickets(&wan, &scens, &cfg), reference);
 }
 
 #[test]
@@ -99,7 +109,7 @@ fn relaxed_rwa_is_stable_across_runs_and_threads() {
     // in a fixed order (BTreeMap, not HashMap) or solutions drift between
     // processes. `Debug` for f64 round-trips, so equal renderings mean
     // bitwise-equal solutions.
-    use arrow_optical::rwa::{solve_relaxed, RwaConfig};
+    use arrow_optical::rwa::solve_relaxed;
     use arrow_optical::FiberId;
     let wan = ibm(17);
     let cfg = RwaConfig::default();
@@ -204,6 +214,32 @@ fn merge_is_commutative_and_associative_on_digests() {
     // Idempotence on overlap: merging a shard with itself is the shard.
     let aa = a.merge(&a).expect("a+a");
     assert_eq!(aa.digest(), a.digest(), "self-merge must dedup to the shard");
+}
+
+/// Pins the ticket bytes of the `scenario_sweep --smoke` run: the 64-scenario
+/// correlated B4 universe with six tickets per scenario. Both digests are
+/// also the committed `BENCH_scenarios.json` baselines, so a solver or
+/// scheduling change that moves a single ticket fails here first.
+#[test]
+fn smoke_universe_ticket_digest_is_pinned() {
+    let wan = b4(17);
+    let uni = compile_universe(
+        &wan,
+        &UniverseConfig {
+            max_k: 3,
+            cutoff: 1e-5,
+            auto_srlg_size: 3,
+            auto_srlg_probability: 1e-3,
+            maintenance_window: 2,
+            maintenance_probability: 5e-4,
+            max_scenarios: 64,
+            ..Default::default()
+        },
+    );
+    assert_eq!(format!("{:016x}", uni.digest()), "60c821a7a33430e3", "universe moved");
+    let cfg = LotteryConfig { num_tickets: 6, ..Default::default() };
+    let (set, _) = generate_tickets_universe(&wan, &uni, &cfg);
+    assert_eq!(format!("{:016x}", set.digest()), "6468505d030497d7", "tickets moved");
 }
 
 #[test]

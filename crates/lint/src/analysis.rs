@@ -1,7 +1,7 @@
 //! Interprocedural analyses over the workspace call graph.
 //!
 //! **panic-reachability** — from configured entry points (the controller
-//! epoch path, the batched solver, the daemon loop), prove that no call
+//! epoch path, the daemon loop, ticket generation), prove that no call
 //! path reaches `unwrap`/`expect`/`panic!`-family code in product
 //! libraries. A single reachable `unwrap` under
 //! `ArrowController::plan_epoch` kills `arrow serve` mid-epoch instead of
@@ -33,7 +33,6 @@ pub const DEFAULT_ENTRIES: &[&str] = &[
     "ArrowController::plan_epoch",
     "ArrowController::plan",
     "ArrowController::plan_warm",
-    "solver::solve_batch",
     "daemon::serve",
     "lottery::generate_tickets",
 ];
@@ -44,7 +43,6 @@ pub const DEFAULT_SINKS: &[&str] = &[
     "ScenarioId::of_cut",
     "TicketSet::digest",
     "TicketSet::merge",
-    "Model::structure_digest",
     "lottery::generate_tickets",
     "telemetry::generate_tickets",
     "failures::compile_universe",

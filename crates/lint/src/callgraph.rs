@@ -189,7 +189,7 @@ impl CallGraph {
 
     /// Node indices whose qualified name ends with the `::`-separated
     /// segments of `spec` (e.g. `ArrowController::plan_epoch` or
-    /// `solver::solve_batch`).
+    /// `daemon::serve`).
     pub fn resolve_spec(&self, spec: &str) -> Vec<usize> {
         let want: Vec<&str> = spec.split("::").collect();
         self.nodes

@@ -19,8 +19,8 @@
 //! [`analysis`]):
 //!
 //! 5. **panic-reachability** — no call path from a controller entry point
-//!    (`ArrowController::plan_epoch`, `solver::solve_batch`, the daemon
-//!    loop) reaches `unwrap`/`expect`/`panic!` in product code; violations
+//!    (`ArrowController::plan_epoch`, ticket generation, the daemon loop)
+//!    reaches `unwrap`/`expect`/`panic!` in product code; violations
 //!    report the full call chain.
 //! 6. **determinism-taint** — nondeterminism sources (hash iteration,
 //!    wall clocks, RNG outside `derive_seed`) must not be reachable from

@@ -46,9 +46,9 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "panic-reachability",
-        "no call path from a controller entry point (plan_epoch, solve_batch, daemon \
-         serve) may reach unwrap/expect/panic! in product code: a reachable panic kills \
-         the long-lived daemon mid-epoch instead of failing one request",
+        "no call path from a controller entry point (plan_epoch, ticket generation, \
+         daemon serve) may reach unwrap/expect/panic! in product code: a reachable panic \
+         kills the long-lived daemon mid-epoch instead of failing one request",
     ),
     (
         "determinism-taint",
@@ -103,7 +103,12 @@ pub fn classify(rel_path: &str) -> (String, FileKind) {
         .and_then(|rest| rest.split('/').next())
         .unwrap_or("")
         .to_string();
-    let kind = if rel_path.contains("/benches/") || crate_name == "bench" {
+    // `perfbench/` is the repo benchmark's own package (it has its own
+    // workspace): like `crates/bench`, timing is its job.
+    let kind = if rel_path.contains("/benches/")
+        || crate_name == "bench"
+        || rel_path.starts_with("perfbench/")
+    {
         FileKind::Bench
     } else if rel_path.contains("/tests/") || rel_path.starts_with("tests/") {
         FileKind::Test

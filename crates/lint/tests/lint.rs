@@ -213,6 +213,7 @@ fn classification() {
     assert_eq!(classify("crates/lp/src/simplex.rs"), ("lp".into(), FileKind::Lib));
     assert_eq!(classify("crates/lp/tests/t.rs"), ("lp".into(), FileKind::Test));
     assert_eq!(classify("crates/bench/src/lib.rs"), ("bench".into(), FileKind::Bench));
+    assert_eq!(classify("perfbench/src/offline.rs"), ("".into(), FileKind::Bench));
     assert_eq!(classify("examples/sweep.rs"), ("".into(), FileKind::Example));
     assert_eq!(classify("src/lib.rs"), ("".into(), FileKind::Lib));
 }

@@ -29,20 +29,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod milp;
 pub mod model;
 pub mod mps;
 pub mod pdhg;
-pub mod presolve;
 pub mod simplex;
 pub mod solution;
 pub mod solver;
 pub mod sparse;
 pub mod warm;
 
-pub use batch::{BatchError, BatchedModel};
 pub use model::{ConId, LinExpr, Model, Objective, Sense, VarId, INF};
 pub use solution::{Solution, SolveStats, Status};
-pub use solver::{solve, solve_batch, solve_default, solve_with, Backend, SolverConfig};
+pub use solver::{solve, solve_default, solve_with, Backend, SolverConfig};
 pub use warm::{BackendKind, Basis, ColStatus, PrimalDual, WarmEvent, WarmStart};

@@ -384,43 +384,6 @@ impl StandardLp {
     pub fn user_objective(&self, min_obj: f64) -> f64 {
         self.obj_sign * min_obj
     }
-
-    /// `true` when `other` shares this LP's exact constraint structure —
-    /// same dimensions, sparsity pattern, coefficient values, and row
-    /// senses. This is the precondition for solving both as lanes of one
-    /// [`crate::batch::BatchedModel`]; right-hand sides, bounds, and
-    /// objectives may differ freely.
-    pub fn same_structure(&self, other: &StandardLp) -> bool {
-        self.a == other.a && self.senses == other.senses
-    }
-
-    /// FNV-1a digest of the constraint structure (dimensions, sparsity,
-    /// coefficient bit patterns, senses). Equal digests are a fast
-    /// *necessary* condition for [`StandardLp::same_structure`]; callers
-    /// grouping lanes must confirm with the full comparison to rule out
-    /// collisions.
-    pub fn structure_digest(&self) -> u64 {
-        const PRIME: u64 = 0x100_0000_01b3;
-        fn mix(h: u64, v: u64) -> u64 {
-            (h ^ v).wrapping_mul(PRIME)
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        h = mix(h, self.num_cons() as u64);
-        h = mix(h, self.num_vars() as u64);
-        for i in 0..self.num_cons() {
-            let sense = match self.senses[i] {
-                Sense::Le => 0u64,
-                Sense::Ge => 1,
-                Sense::Eq => 2,
-            };
-            h = mix(h, sense);
-            for (j, v) in self.a.row(i) {
-                h = mix(h, j as u64);
-                h = mix(h, v.to_bits());
-            }
-        }
-        h
-    }
 }
 
 #[cfg(test)]

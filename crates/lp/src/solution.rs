@@ -58,12 +58,6 @@ pub struct SolveStats {
     pub restarts: usize,
     /// Basis refactorizations performed (simplex only).
     pub refactors: usize,
-    /// Width of the batch panel this solve ran in: `0` for a standalone
-    /// [`crate::solver::solve_with`] call, `N ≥ 1` for a lane of an N-wide
-    /// [`crate::solver::solve_batch`] group. When batched,
-    /// [`SolveStats::solve_seconds`] is the lane's amortized share of the
-    /// group wall time, not an independent measurement.
-    pub lanes: usize,
 }
 
 /// The result of solving a model.

@@ -5,9 +5,8 @@
 //! crossover threshold favours the exact simplex for anything it can finish
 //! quickly and the first-order PDHG solver beyond that.
 
-use crate::batch::BatchedModel;
 use crate::milp::{self, MilpConfig};
-use crate::model::{Model, StandardLp};
+use crate::model::Model;
 use crate::pdhg::{self, PdhgConfig};
 use crate::simplex::{self, SimplexConfig};
 use crate::solution::{Solution, SolveStats};
@@ -33,12 +32,6 @@ pub struct SolverConfig {
     pub backend: Backend,
     /// Row-count threshold for [`Backend::Auto`].
     pub auto_threshold: usize,
-    /// Run [`crate::presolve`] before the backend (fixed variables,
-    /// singleton/empty rows, empty columns). Duals of eliminated rows are
-    /// reported as zero. Off by default: ARROW's TE rows are rarely
-    /// eliminable, so the pass usually costs more than it saves — enable
-    /// it for models with many fixed variables or bound-like rows.
-    pub presolve: bool,
     /// Simplex knobs.
     pub simplex: SimplexConfig,
     /// PDHG knobs.
@@ -52,7 +45,6 @@ impl Default for SolverConfig {
         SolverConfig {
             backend: Backend::Auto,
             auto_threshold: 1200,
-            presolve: false,
             simplex: SimplexConfig::default(),
             pdhg: PdhgConfig::default(),
             milp: MilpConfig::default(),
@@ -84,9 +76,8 @@ pub fn solve(model: &Model, cfg: &SolverConfig) -> Solution {
 ///
 /// Each backend consumes the component it understands — simplex the basis,
 /// PDHG the primal–dual point — and records a hit/miss in
-/// [`SolveStats`](crate::solution::SolveStats). The MILP backend and the
-/// presolve path ignore warm starts (presolve renumbers columns, which
-/// would silently misalign the point).
+/// [`SolveStats`](crate::solution::SolveStats). The MILP backend ignores
+/// warm starts.
 pub fn solve_with(model: &Model, cfg: &SolverConfig, warm: Option<&WarmStart>) -> Solution {
     let _span = arrow_obs::span!(
         "lp.solve",
@@ -95,25 +86,11 @@ pub fn solve_with(model: &Model, cfg: &SolverConfig, warm: Option<&WarmStart>) -
         "warm" => warm.is_some(),
         "backend" => backend_label(model, cfg),
     );
-    let sol = solve_timed(model, cfg, warm, None);
-    lp_metrics().record(&sol.stats);
-    sol
-}
-
-/// [`solve_with`] minus the span and metrics flush: runs the backend and
-/// stamps `solve_seconds`. The batch path reuses this for lanes that solve
-/// sequentially — the results are bitwise identical to [`solve_with`]'s
-/// while the batch stays in charge of its own metrics accounting.
-fn solve_timed(
-    model: &Model,
-    cfg: &SolverConfig,
-    warm: Option<&WarmStart>,
-    pre: Option<StandardLp>,
-) -> Solution {
     // arrow-lint: allow(wall-clock-in-core) — solve wall time reported in SolveStats; iteration counts, not time, bound the solve
     let start = std::time::Instant::now();
-    let mut sol = solve_inner(model, cfg, warm, pre, start);
+    let mut sol = solve_inner(model, cfg, warm);
     sol.stats.solve_seconds = start.elapsed().as_secs_f64();
+    lp_metrics().record(&sol.stats);
     sol
 }
 
@@ -130,24 +107,13 @@ struct LpMetrics {
     warm_hit: arrow_obs::Counter,
     warm_miss: arrow_obs::Counter,
     warm_cold: arrow_obs::Counter,
-    batch_solves: arrow_obs::Counter,
-    batch_lanes: arrow_obs::Counter,
-    batch_groups: arrow_obs::Counter,
 }
 
 impl LpMetrics {
-    /// Full flush for a standalone solve: count, latency sample, work.
+    /// Flushes one solve: count, latency sample, backend work, warm event.
     fn record(&self, stats: &SolveStats) {
         self.solves.inc();
         self.solve_seconds.observe(stats.solve_seconds);
-        self.record_work(stats);
-    }
-
-    /// Backend work and warm-start counters only. [`solve_batch`] calls
-    /// this per lane but samples `lp.solve.seconds` once per batch, so the
-    /// latency quantiles reflect wall time actually spent instead of the
-    /// panel width multiplying every shared-work sample.
-    fn record_work(&self, stats: &SolveStats) {
         match stats.backend {
             BackendKind::Simplex => {
                 self.simplex_iterations.add(stats.iterations as u64);
@@ -184,9 +150,6 @@ fn lp_metrics() -> &'static LpMetrics {
         warm_hit: arrow_obs::metrics::counter("lp.warm.hit"),
         warm_miss: arrow_obs::metrics::counter("lp.warm.miss"),
         warm_cold: arrow_obs::metrics::counter("lp.warm.cold"),
-        batch_solves: arrow_obs::metrics::counter("lp.batch.solves"),
-        batch_lanes: arrow_obs::metrics::counter("lp.batch.lanes"),
-        batch_groups: arrow_obs::metrics::counter("lp.batch.groups"),
     })
 }
 
@@ -218,184 +181,37 @@ fn concrete_backend(cfg: &SolverConfig, rows: usize) -> Backend {
     }
 }
 
-fn solve_inner(
-    model: &Model,
-    cfg: &SolverConfig,
-    warm: Option<&WarmStart>,
-    // Standard form already lowered by the caller (the batch path lowers
-    // every lane for structure grouping; recomputing it here would double
-    // that work). `to_standard` is deterministic, so reuse is bitwise-free.
-    pre: Option<StandardLp>,
-    // arrow-lint: allow(wall-clock-in-core) — carries the caller's stats timestamp through; never branches on elapsed time
-    start: std::time::Instant,
-) -> Solution {
+fn solve_inner(model: &Model, cfg: &SolverConfig, warm: Option<&WarmStart>) -> Solution {
     if model.num_int_vars() > 0 {
         let mut s = milp::solve(model, &cfg.milp);
         s.stats.backend = BackendKind::Milp;
         s.stats.rows = model.num_cons();
         s.stats.cols = model.num_vars();
         s.stats.nnz = model.nnz();
-        s
+        return s;
+    }
+    let lp = model.to_standard();
+    let backend = concrete_backend(cfg, lp.num_cons());
+    let sol = if backend == Backend::Pdhg {
+        pdhg::solve_warm(&lp, &cfg.pdhg, warm.and_then(|w| w.point.as_ref()))
     } else {
-        let full = pre.unwrap_or_else(|| model.to_standard());
-        // Optional presolve: solve the reduced problem, expand the answer.
-        // Presolve renumbers rows/columns, so warm starts are dropped here.
-        let warm = if cfg.presolve { None } else { warm };
-        let (lp, reduction) = if cfg.presolve {
-            match crate::presolve::presolve(&full) {
-                crate::presolve::PresolveResult::Infeasible => {
-                    let mut s = Solution::failed(
-                        crate::solution::Status::Infeasible,
-                        full.num_vars(),
-                        full.num_cons(),
-                    );
-                    s.stats.solve_seconds = start.elapsed().as_secs_f64();
-                    return s;
-                }
-                crate::presolve::PresolveResult::Solved(mut s) => {
-                    s.stats.solve_seconds = start.elapsed().as_secs_f64();
-                    return s;
-                }
-                crate::presolve::PresolveResult::Reduced(r) => (r.lp.clone(), Some(r)),
-            }
-        } else {
-            (full, None)
-        };
-        let backend = concrete_backend(cfg, lp.num_cons());
-        let sol = if backend == Backend::Pdhg {
-            pdhg::solve_warm(&lp, &cfg.pdhg, warm.and_then(|w| w.point.as_ref()))
-        } else {
-            simplex::solve_warm(&lp, &cfg.simplex, warm.and_then(|w| w.basis.as_ref()))
-        };
-        // Auto mode falls back to the first-order method when the simplex
-        // loses numerical accuracy (rare, but recoverable).
-        let sol = if cfg.backend == Backend::Auto
-            && backend == Backend::Simplex
-            && sol.status == crate::solution::Status::NumericalTrouble
-        {
-            pdhg::solve_warm(&lp, &cfg.pdhg, warm.and_then(|w| w.point.as_ref()))
-        } else {
-            sol
-        };
-        match reduction {
-            Some(r) if sol.status.is_usable() => r.expand(&sol),
-            _ => sol,
-        }
+        simplex::solve_warm(&lp, &cfg.simplex, warm.and_then(|w| w.basis.as_ref()))
+    };
+    // Auto mode falls back to the first-order method when the simplex
+    // loses numerical accuracy (rare, but recoverable).
+    if cfg.backend == Backend::Auto
+        && backend == Backend::Simplex
+        && sol.status == crate::solution::Status::NumericalTrouble
+    {
+        pdhg::solve_warm(&lp, &cfg.pdhg, warm.and_then(|w| w.point.as_ref()))
+    } else {
+        sol
     }
 }
 
 /// Solves with default configuration.
 pub fn solve_default(model: &Model) -> Solution {
     solve(model, &SolverConfig::default())
-}
-
-/// Solves a family of models as one batch, sharing panel work where the
-/// structure allows.
-///
-/// Lanes are grouped by constraint structure — a
-/// [`StandardLp::structure_digest`] prefilter confirmed by
-/// [`StandardLp::same_structure`] — and any group of two or more lanes that
-/// routes to the PDHG backend runs through the struct-of-arrays multi-RHS
-/// kernel ([`pdhg::solve_batch`]). Every other lane (simplex-routed,
-/// integer, presolve-enabled, or structurally unique) solves sequentially
-/// through exactly the code path [`solve_with`] uses. Either way each
-/// lane's [`Solution`] is **bitwise identical** to its sequential result;
-/// only the accounting differs: [`SolveStats::lanes`] records the panel
-/// width, batched lanes report an amortized [`SolveStats::solve_seconds`],
-/// and `lp.solve.seconds` is sampled once for the whole batch.
-///
-/// An empty slice returns an empty vec.
-pub fn solve_batch(models: &[Model], cfg: &SolverConfig) -> Vec<Solution> {
-    if models.is_empty() {
-        return Vec::new();
-    }
-    let _span = arrow_obs::span!(
-        "lp.solve_batch",
-        "lanes" => models.len(),
-        "backend" => models.first().map_or("none", |m| backend_label(m, cfg)),
-    );
-    // arrow-lint: allow(wall-clock-in-core) — batch wall time feeds the latency histogram; never branches on elapsed time
-    let start = std::time::Instant::now();
-    // Lower continuous, non-presolve lanes to standard form for grouping;
-    // integer models and presolve-enabled configs stay sequential (their
-    // pipelines renumber rows/columns, which a shared panel cannot).
-    let mut standards: Vec<Option<StandardLp>> = models
-        .iter()
-        .map(|m| if m.num_int_vars() > 0 || cfg.presolve { None } else { Some(m.to_standard()) })
-        .collect();
-    // Group batchable lanes by structure: digest prefilter, exact confirm.
-    let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
-    for (i, lp) in standards.iter().enumerate() {
-        let Some(lp) = lp else { continue };
-        let digest = lp.structure_digest();
-        let mut placed = false;
-        for (d, lanes) in groups.iter_mut() {
-            if *d != digest {
-                continue;
-            }
-            let confirmed = match &standards[lanes[0]] {
-                Some(rep) => rep.same_structure(lp),
-                None => false,
-            };
-            if confirmed {
-                lanes.push(i);
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            groups.push((digest, vec![i]));
-        }
-    }
-    let mut out: Vec<Option<Solution>> = models.iter().map(|_| None).collect();
-    let mut pdhg_groups = 0usize;
-    for (_, lanes) in &groups {
-        let rows = match &standards[lanes[0]] {
-            Some(rep) => rep.num_cons(),
-            None => continue,
-        };
-        if lanes.len() < 2 || concrete_backend(cfg, rows) != Backend::Pdhg {
-            continue;
-        }
-        let lps: Vec<StandardLp> = lanes.iter().filter_map(|&i| standards[i].take()).collect();
-        if lps.len() != lanes.len() {
-            // Unreachable by construction; the lanes fall back to the
-            // sequential path below rather than panicking.
-            continue;
-        }
-        if let Ok(batch) = BatchedModel::from_standard(&lps) {
-            for (&i, s) in lanes.iter().zip(pdhg::solve_batch(&batch, &cfg.pdhg)) {
-                out[i] = Some(s);
-            }
-            pdhg_groups += 1;
-        }
-    }
-    // Everything not solved by a panel runs the exact sequential path.
-    for (i, slot) in out.iter_mut().enumerate() {
-        if slot.is_none() {
-            let mut s = solve_timed(&models[i], cfg, None, standards[i].take());
-            s.stats.lanes = 1;
-            *slot = Some(s);
-        }
-    }
-    // Metrics: per-lane work counters, one latency sample for the batch.
-    let metrics = lp_metrics();
-    metrics.batch_solves.inc();
-    metrics.batch_lanes.add(models.len() as u64);
-    metrics.batch_groups.add(pdhg_groups as u64);
-    metrics.solve_seconds.observe(start.elapsed().as_secs_f64());
-    let sols: Vec<Solution> = out
-        .into_iter()
-        .map(|s| match s {
-            Some(s) => s,
-            None => Solution::failed(crate::solution::Status::NumericalTrouble, 0, 0),
-        })
-        .collect();
-    for s in &sols {
-        metrics.solves.inc();
-        metrics.record_work(&s.stats);
-    }
-    sols
 }
 
 #[cfg(test)]
@@ -463,152 +279,5 @@ mod tests {
         );
         let hist = after.histogram("lp.solve.seconds").expect("registered");
         assert!(hist.count > before.histogram("lp.solve.seconds").map_or(0, |h| h.count));
-    }
-}
-#[cfg(test)]
-mod batch_tests {
-    use super::*;
-    use crate::model::{LinExpr, Objective, Sense};
-    use crate::solution::Status;
-
-    fn tiny_with_rhs(r: f64) -> Model {
-        let mut m = Model::new();
-        let x = m.add_var(0.0, 4.0, "x");
-        let y = m.add_nonneg("y");
-        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Le, r, "cap");
-        m.set_objective(LinExpr::new().add(x, 2.0).add(y, 1.0), Objective::Maximize);
-        m
-    }
-
-    fn two_con_model(cap: f64) -> Model {
-        let mut m = Model::new();
-        let x = m.add_nonneg("x");
-        let y = m.add_nonneg("y");
-        m.add_con(LinExpr::new().add(x, 1.0).add(y, 2.0), Sense::Le, cap, "c1");
-        m.add_con(LinExpr::new().add(x, 3.0).add(y, 1.0), Sense::Le, cap + 2.0, "c2");
-        m.set_objective(LinExpr::new().add(x, 1.0).add(y, 1.0), Objective::Maximize);
-        m
-    }
-
-    fn assert_bitwise(a: &Solution, b: &Solution) {
-        assert_eq!(a.status, b.status);
-        assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "objective bits differ");
-        assert_eq!(a.x.len(), b.x.len());
-        for (i, (xa, xb)) in a.x.iter().zip(&b.x).enumerate() {
-            assert_eq!(xa.to_bits(), xb.to_bits(), "x[{i}] differs: {xa} vs {xb}");
-        }
-        assert_eq!(a.duals.len(), b.duals.len());
-        for (i, (da, db)) in a.duals.iter().zip(&b.duals).enumerate() {
-            assert_eq!(da.to_bits(), db.to_bits(), "dual[{i}] differs: {da} vs {db}");
-        }
-    }
-
-    #[test]
-    fn empty_batch_returns_empty() {
-        assert!(solve_batch(&[], &SolverConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn mixed_batch_is_bitwise_identical_to_sequential() {
-        let mut int_model = Model::new();
-        let xi = int_model.add_int_var(0.0, 9.0, "x");
-        int_model.add_con(LinExpr::term(xi, 2.0), Sense::Le, 7.0, "cap");
-        int_model.set_objective(LinExpr::term(xi, 1.0), Objective::Maximize);
-        // Two structural families interleaved with an integer lane: under a
-        // pinned PDHG config, lanes {0, 2} and {1, 4} form panels while the
-        // integer lane stays sequential; under Auto everything routes to
-        // the simplex. Results must be bitwise sequential either way.
-        let models = vec![
-            tiny_with_rhs(6.0),
-            two_con_model(8.0),
-            tiny_with_rhs(9.0),
-            int_model,
-            two_con_model(5.0),
-        ];
-        for cfg in [SolverConfig::default(), SolverConfig::first_order(1e-7)] {
-            let batched = solve_batch(&models, &cfg);
-            assert_eq!(batched.len(), models.len());
-            for (model, b) in models.iter().zip(&batched) {
-                let seq = solve(model, &cfg);
-                assert_bitwise(&seq, b);
-            }
-        }
-    }
-
-    #[test]
-    fn batch_with_empty_model_lane_solves_cleanly() {
-        let models = vec![Model::new(), tiny_with_rhs(6.0)];
-        let sols = solve_batch(&models, &SolverConfig::default());
-        assert_eq!(sols.len(), 2);
-        assert_eq!(sols[0].status, Status::Optimal);
-        assert!(sols[0].x.is_empty());
-        assert_eq!(sols[1].status, Status::Optimal);
-    }
-
-    #[test]
-    fn batch_latency_is_amortized_not_multiplied() {
-        let models: Vec<Model> = (0..4).map(|i| tiny_with_rhs(5.0 + i as f64)).collect();
-        let cfg = SolverConfig::first_order(1e-6);
-        let before = arrow_obs::metrics::snapshot();
-        // arrow-lint: allow(wall-clock-in-core) — test-only timing assertion
-        let t = std::time::Instant::now();
-        let sols = solve_batch(&models, &cfg);
-        let wall = t.elapsed().as_secs_f64();
-        let after = arrow_obs::metrics::snapshot();
-        // All four lanes share one PDHG panel...
-        for s in &sols {
-            assert_eq!(s.status, Status::Optimal);
-            assert_eq!(s.stats.lanes, 4);
-        }
-        // ...and the per-lane seconds are amortized shares of the batch
-        // wall, so they sum to roughly the wall — not 4x it. (Counters are
-        // process-global and other tests run concurrently, so the global
-        // assertions are one-sided.)
-        let total: f64 = sols.iter().map(|s| s.stats.solve_seconds).sum();
-        assert!(total <= wall * 1.5 + 1e-3, "sum of lane seconds {total} vs wall {wall}");
-        assert!(after.counter("lp.batch.solves") > before.counter("lp.batch.solves"));
-        assert!(after.counter("lp.batch.lanes") >= before.counter("lp.batch.lanes") + 4);
-        assert!(after.counter("lp.batch.groups") > before.counter("lp.batch.groups"));
-        assert!(after.counter("lp.solves") >= before.counter("lp.solves") + 4);
-        let hist = after.histogram("lp.solve.seconds").expect("registered");
-        assert!(hist.count > before.histogram("lp.solve.seconds").map_or(0, |h| h.count));
-    }
-}
-
-#[cfg(test)]
-mod presolve_integration_tests {
-    use super::*;
-    use crate::model::{LinExpr, Model, Objective, Sense};
-    use crate::solution::Status;
-
-    #[test]
-    fn presolve_enabled_matches_direct_solve() {
-        let mut m = Model::new();
-        let fixed = m.add_var(2.0, 2.0, "fixed");
-        let x = m.add_nonneg("x");
-        let y = m.add_nonneg("y");
-        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 7.0, "bound_row");
-        m.add_con(LinExpr::new().add(fixed, 1.0).add(x, 1.0).add(y, 1.0), Sense::Le, 12.0, "mix");
-        m.set_objective(
-            LinExpr::new().add(x, 2.0).add(y, 1.0).add(fixed, 1.0),
-            Objective::Maximize,
-        );
-        let plain = solve(&m, &SolverConfig::default());
-        let pre = solve(&m, &SolverConfig { presolve: true, ..Default::default() });
-        assert_eq!(plain.status, Status::Optimal);
-        assert_eq!(pre.status, Status::Optimal);
-        assert!((plain.objective - pre.objective).abs() < 1e-6);
-        assert_eq!(pre.x.len(), m.num_vars());
-        assert_eq!(pre.x[0], 2.0);
-    }
-
-    #[test]
-    fn presolve_reports_infeasibility_without_a_backend_call() {
-        let mut m = Model::new();
-        let x = m.add_var(5.0, 5.0, "x");
-        m.add_con(LinExpr::term(x, 1.0), Sense::Le, 1.0, "impossible");
-        m.set_objective(LinExpr::term(x, 1.0), Objective::Minimize);
-        let s = solve(&m, &SolverConfig { presolve: true, ..Default::default() });
-        assert_eq!(s.status, Status::Infeasible);
     }
 }

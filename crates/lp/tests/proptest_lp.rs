@@ -1,7 +1,7 @@
 //! Property-based tests of the LP toolkit on randomly generated programs.
 
 use arrow_lp::model::{LinExpr, Model, Objective, Sense};
-use arrow_lp::{Backend, SolverConfig, Status};
+use arrow_lp::{SolverConfig, Status};
 use proptest::prelude::*;
 
 /// A random box-constrained LP with `m` dense `<=` rows built so that the
@@ -52,37 +52,6 @@ proptest! {
                 (exact.objective - fo.objective).abs() / scale < 2e-3,
                 "simplex {} vs pdhg {}", exact.objective, fo.objective
             );
-        }
-    }
-
-    /// Presolve never changes the optimum.
-    #[test]
-    fn presolve_preserves_optimum(
-        n in 2usize..5,
-        m in 1usize..4,
-        seed_coeffs in proptest::collection::vec(-2.0f64..2.0, 20),
-        seed_rhs in proptest::collection::vec(0.0f64..20.0, 4),
-        seed_costs in proptest::collection::vec(-1.0f64..3.0, 5),
-        fix in 0usize..3,
-    ) {
-        let (mut model, vars) = random_lp(n, &seed_coeffs[..n * m], &seed_rhs[..m], &seed_costs[..n]);
-        // Fix a variable to stress substitution.
-        if fix < n {
-            model.set_bounds(vars[fix], 1.5, 1.5);
-        }
-        let plain = arrow_lp::solve(&model, &SolverConfig::exact());
-        let pre = arrow_lp::solve(
-            &model,
-            &SolverConfig { presolve: true, backend: Backend::Simplex, ..Default::default() },
-        );
-        prop_assert_eq!(plain.status, pre.status);
-        if plain.status == Status::Optimal {
-            let scale = 1.0 + plain.objective.abs();
-            prop_assert!(
-                (plain.objective - pre.objective).abs() / scale < 1e-6,
-                "plain {} vs presolved {}", plain.objective, pre.objective
-            );
-            prop_assert!(pre.violation(&model) < 1e-6);
         }
     }
 

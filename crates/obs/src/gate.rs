@@ -3,8 +3,7 @@
 //!
 //! The sweeps (`online_sweep`, `scenario_sweep`, `observe_pipeline`)
 //! already measure the things the ROADMAP cares about — warm-start
-//! speedup, batched-LP panel speedup, pipeline throughput, determinism
-//! digests — but until now nothing *compared* a fresh run against the
+//! speedup, pipeline throughput, determinism digests — but until now nothing *compared* a fresh run against the
 //! last accepted one, so a perf regression only surfaced when a human
 //! read the artifact. The gate closes that loop:
 //!
@@ -75,10 +74,10 @@ pub struct MetricSpec {
 /// The default tracked-metric set for this repo's three bench artifacts.
 ///
 /// Tolerances follow the noise profile: machine-independent *ratios*
-/// (warm-vs-cold, batched-vs-sequential) get 0.35; raw wall clocks and
-/// throughput numbers depend on the machine running the sweep, so they
-/// only trip on near-order-of-magnitude collapses (0.75 relative for
-/// throughput, 2.0 for wall clocks); determinism digests and boolean
+/// (warm-vs-cold) get 0.35; raw wall clocks and throughput numbers depend
+/// on the machine running the sweep, so they only trip on
+/// near-order-of-magnitude collapses (0.75 relative for throughput, 2.0
+/// for wall clocks); determinism digests and boolean
 /// invariants get exact equality — any drift is a regression.
 pub fn default_specs() -> Vec<MetricSpec> {
     use Direction::*;
@@ -89,13 +88,6 @@ pub fn default_specs() -> Vec<MetricSpec> {
         spec("BENCH_online.json", "objectives_match", Equal, 0.0),
         spec("BENCH_online.json", "winning_identical", Equal, 0.0),
         spec("BENCH_online.json", "warm_wall_seconds", LowerIsBetter, 2.0),
-        // scenario_sweep → BENCH_batch.json: the batched-LP numbers.
-        spec("BENCH_batch.json", "panel[*].speedup", HigherIsBetter, 0.35),
-        spec("BENCH_batch.json", "panel[*].bitwise_identical", Equal, 0.0),
-        spec("BENCH_batch.json", "pipeline[*].speedup", HigherIsBetter, 0.35),
-        spec("BENCH_batch.json", "pipeline[*].digests_equal", Equal, 0.0),
-        spec("BENCH_batch.json", "pipeline[*].ticket_set_digest", Equal, 0.0),
-        spec("BENCH_batch.json", "pipeline[*].scenarios", Equal, 0.0),
         // scenario_sweep → BENCH_scenarios.json: determinism + throughput.
         spec("BENCH_scenarios.json", "topologies[*].ticket_set_digest", Equal, 0.0),
         spec("BENCH_scenarios.json", "topologies[*].universe_digest", Equal, 0.0),

@@ -146,9 +146,7 @@ fn candidate_paths(
 /// The relaxed wavelength-assignment LP for one cut, before solving.
 ///
 /// Produced by [`build_relaxed`]; solve [`RelaxedRwaLp::model`] with any
-/// backend and feed the result to [`RelaxedRwaLp::extract`]. Splitting
-/// build from solve lets [`solve_relaxed_batch`] submit a whole shard of
-/// scenario LPs as one [`arrow_lp::solve_batch`] call.
+/// backend and feed the result to [`RelaxedRwaLp::extract`].
 #[derive(Debug)]
 pub struct RelaxedRwaLp {
     /// The assembled LP (maximization).
@@ -157,17 +155,6 @@ pub struct RelaxedRwaLp {
     cands: Vec<(LightpathId, Vec<FiberPath>, Vec<f64>)>,
     /// `slot_vars[e][k]` = `(slot, var)` pairs for link `e`, path `k`.
     slot_vars: Vec<Vec<Vec<(usize, arrow_lp::VarId)>>>,
-    /// Constraint (17) rows, one per affected link that got any variable
-    /// (`gamma_e{e}` in row order). Patching their RHS re-caps the lost
-    /// wavelength count without touching the LP structure.
-    gamma_rows: Vec<arrow_lp::ConId>,
-}
-
-impl RelaxedRwaLp {
-    /// Constraint (17) `gamma_e` rows, in emission order.
-    pub fn gamma_rows(&self) -> &[arrow_lp::ConId] {
-        &self.gamma_rows
-    }
 }
 
 /// Builds the relaxed wavelength-assignment LP (Appendix A.2, constraints
@@ -222,17 +209,11 @@ pub fn build_relaxed(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> 
         }
     }
     // Constraint (17): restored wavelengths per link ≤ lost wavelengths.
-    let mut gamma_rows = Vec::new();
     for (e, (id, _, _)) in cands.iter().enumerate() {
         let gamma = net.lightpath(*id).wavelength_count() as f64;
         let all: Vec<_> = slot_vars[e].iter().flatten().map(|&(_, v)| v).collect();
         if !all.is_empty() {
-            gamma_rows.push(model.add_con(
-                LinExpr::sum_vars(all),
-                Sense::Le,
-                gamma,
-                format!("gamma_e{e}"),
-            ));
+            model.add_con(LinExpr::sum_vars(all), Sense::Le, gamma, format!("gamma_e{e}"));
         }
     }
     // Objective: the paper maximizes the restored wavelength count
@@ -249,7 +230,7 @@ pub fn build_relaxed(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> 
         }
     }
     model.set_objective(obj, Objective::Maximize);
-    RelaxedRwaLp { model, cands, slot_vars, gamma_rows }
+    RelaxedRwaLp { model, cands, slot_vars }
 }
 
 impl RelaxedRwaLp {
@@ -290,24 +271,6 @@ pub fn solve_relaxed(net: &OpticalNetwork, cut: &[FiberId], cfg: &RwaConfig) -> 
     let lp = build_relaxed(net, cut, cfg);
     let sol = arrow_lp::solve(&lp.model, &cfg.solver);
     lp.extract(net, &sol)
-}
-
-/// Solves the relaxed RWA for a whole shard of cut scenarios as one
-/// [`arrow_lp::solve_batch`] call.
-///
-/// Structurally identical scenario LPs share one multi-RHS panel; the rest
-/// solve sequentially inside the batch. Per-scenario results are bitwise
-/// identical to calling [`solve_relaxed`] on each cut (the batch layer's
-/// contract), so offline ticket digests do not depend on the batching.
-pub fn solve_relaxed_batch(
-    net: &OpticalNetwork,
-    cuts: &[&[FiberId]],
-    cfg: &RwaConfig,
-) -> Vec<RwaSolution> {
-    let lps: Vec<RelaxedRwaLp> = cuts.iter().map(|cut| build_relaxed(net, cut, cfg)).collect();
-    let models: Vec<Model> = lps.iter().map(|lp| lp.model.clone()).collect();
-    let sols = arrow_lp::solve_batch(&models, &cfg.solver);
-    lps.into_iter().zip(&sols).map(|(lp, sol)| lp.extract(net, sol)).collect()
 }
 
 /// An exact (integral) wavelength assignment for one failed link.
@@ -509,39 +472,10 @@ mod tests {
         for l in &sol.links {
             assert!(l.wavelengths <= l.lost_wavelengths as f64 + 1e-6);
         }
-    }
-
-    #[test]
-    fn batched_rwa_matches_sequential_and_handles_empty_cut() {
-        let (net, f_bc, _, _) = fig7();
-        let cfg = RwaConfig::default();
-        // Lane 0 has zero cut links (an empty LP); lanes 1 and 2 repeat the
-        // same cut, so they share structure and exercise lane grouping.
-        let cut = [f_bc];
-        let cuts: [&[FiberId]; 3] = [&[], &cut, &cut];
-        let batched = solve_relaxed_batch(&net, &cuts, &cfg);
-        assert_eq!(batched.len(), 3);
-        assert!(batched[0].links.is_empty());
-        assert_eq!(batched[0].total_wavelengths, 0.0);
-        for b in &batched[1..] {
-            let seq = solve_relaxed(&net, &cut, &cfg);
-            assert_eq!(seq.links.len(), b.links.len());
-            assert_eq!(seq.total_wavelengths.to_bits(), b.total_wavelengths.to_bits());
-            for (ls, lb) in seq.links.iter().zip(&b.links) {
-                assert_eq!(ls.lightpath, lb.lightpath);
-                for (a, c) in ls.per_path_wavelengths.iter().zip(&lb.per_path_wavelengths) {
-                    assert_eq!(a.to_bits(), c.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gamma_rows_cover_links_with_candidates() {
-        let (net, f_bc, _, _) = fig7();
-        let lp = build_relaxed(&net, &[f_bc], &RwaConfig::default());
-        // Both affected links have candidate paths, so both get a (17) row.
-        assert_eq!(lp.gamma_rows().len(), 2);
+        // An empty cut builds an empty LP, which solves to nothing lost.
+        let none = solve_relaxed(&net, &[], &RwaConfig::default());
+        assert!(none.links.is_empty());
+        assert_eq!(none.total_wavelengths, 0.0);
     }
 
     #[test]

@@ -11,12 +11,6 @@
 //! per-shard `offline.scenario` spans) and writes `BENCH_scenarios.json`
 //! (scenarios/sec, kept/dedup/infeasible counts, per-shard digests).
 //!
-//! Also races the batched LP path against the sequential one: ticket
-//! generation with `batch_lanes: 1` must be byte-identical to the batched
-//! default, and a multi-RHS PDHG panel (one scenario LP cloned into many
-//! gamma-budget lanes) must beat lane-by-lane solves by ≥ 3× while staying
-//! bitwise equal. Writes `BENCH_batch.json` with both comparisons.
-//!
 //! Run: `cargo run --release --example scenario_sweep` — or with
 //! `-- --smoke` for the small CI universe (2 shards, B4 only).
 
@@ -25,18 +19,12 @@ use arrow_wan::prelude::*;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// Floor on the universe size for the pipeline comparison — below this,
-/// the batched/sequential wall-clock ratio in `BENCH_batch.json` measures
-/// fixed costs, not the batch path.
-const MIN_PIPELINE_SCENARIOS: usize = 64;
-
 struct TopologyReport {
     name: String,
     universe: ScenarioUniverse,
     compile_seconds: f64,
     unsharded_digest: u64,
     unsharded_wall: f64,
-    sequential_wall: f64,
     offline: OfflineStats,
     shard_runs: Vec<ShardRun>,
     pool_tickets: usize,
@@ -77,12 +65,6 @@ fn sweep_topology(
         universe.covered_probability(),
         universe.digest()
     );
-    assert!(
-        universe.len() >= MIN_PIPELINE_SCENARIOS,
-        "pipeline comparison needs >= {MIN_PIPELINE_SCENARIOS} scenarios, got {} — widen the \
-         universe config",
-        universe.len()
-    );
     let by_source =
         |src: ScenarioSource| universe.scenarios.iter().filter(|c| c.source == src).count();
     println!(
@@ -95,8 +77,8 @@ fn sweep_topology(
     );
 
     // Warm the process once (first-touch page faults and lazy allocator
-    // growth dominate a cold first run) so the batched/sequential wall
-    // clocks below compare steady states, not who ran first.
+    // growth dominate a cold first run) so the timed runs below measure a
+    // steady state.
     let _ = generate_tickets_universe(wan, &universe, lcfg);
 
     // Single-shard reference run. Timed as the min over three repeats —
@@ -120,32 +102,6 @@ fn sweep_topology(
         offline.summary(),
         universe.len() as f64 / unsharded_wall.max(1e-9),
         full_digest
-    );
-
-    // Same universe with the batched LP path disabled (`batch_lanes: 1`,
-    // the pre-batching sequential code path). The multi-RHS panel is an
-    // implementation detail: output must be byte-identical, and the
-    // sequential path must emit the same one-span-per-scenario trace.
-    let seq_cfg = LotteryConfig { batch_lanes: 1, ..lcfg.clone() };
-    let mut sequential_wall = f64::INFINITY;
-    for _ in 0..3 {
-        ring.clear();
-        let (seq_set, seq_stats) = generate_tickets_universe(wan, &universe, &seq_cfg);
-        assert_eq!(
-            ring.finished_spans("offline.scenario").len(),
-            universe.len(),
-            "sequential path must emit one offline.scenario span per scenario"
-        );
-        assert_eq!(seq_set, full, "batch_lanes=1 run is not byte-identical to the batched default");
-        assert_eq!(seq_set.digest(), full_digest, "sequential/batched digest mismatch");
-        sequential_wall = sequential_wall.min(seq_stats.wall_seconds);
-    }
-    println!(
-        "sequential (batch_lanes=1): {:.1} scenarios/s vs batched {:.1} scenarios/s \
-         ({:.2}x wall) | digests equal ✓",
-        universe.len() as f64 / sequential_wall.max(1e-9),
-        universe.len() as f64 / unsharded_wall.max(1e-9),
-        sequential_wall / unsharded_wall.max(1e-9)
     );
 
     // Sharded runs: generate each shard independently, merge, compare.
@@ -198,153 +154,11 @@ fn sweep_topology(
         compile_seconds,
         unsharded_digest: full_digest,
         unsharded_wall,
-        sequential_wall,
         offline,
         shard_runs,
         pool_tickets: pool.len(),
         pool_mass,
     }
-}
-
-struct PanelBench {
-    topology: String,
-    lanes: usize,
-    rows: usize,
-    cols: usize,
-    sequential_seconds: f64,
-    batched_seconds: f64,
-    speedup: f64,
-}
-
-/// Clone the largest scenario RWA LP in the universe into a multi-RHS
-/// family (per-lane gamma restoration budgets, patched via
-/// [`arrow_wan::optical::rwa::RelaxedRwaLp::gamma_rows`]) and race
-/// lane-by-lane `solve` against one `solve_batch` panel under the
-/// PDHG-pinned config. Panics unless every lane is bitwise identical to
-/// its sequential twin — the speedup is only meaningful if the answers
-/// are the same bytes.
-fn panel_bench(name: &str, wan: &Wan, universe: &ScenarioUniverse, lanes: usize) -> PanelBench {
-    use arrow_wan::optical::rwa::build_relaxed;
-
-    let rwa = RwaConfig::default();
-    let base = universe
-        .scenarios
-        .iter()
-        .map(|c| build_relaxed(&wan.optical, &c.scenario.cut_fibers, &rwa))
-        .max_by_key(|lp| lp.model.num_cons())
-        .expect("non-empty universe");
-    assert!(!base.gamma_rows().is_empty(), "panel bench needs gamma rows to patch");
-    let models: Vec<Model> = (0..lanes)
-        .map(|l| {
-            let mut m = base.model.clone();
-            // Tighten each lane's restoration budget by a distinct factor
-            // so every lane is a genuinely different RHS.
-            let tighten = 1.0 - 0.5 * l as f64 / lanes as f64;
-            for &row in base.gamma_rows() {
-                let cap = m.rhs(row);
-                m.set_rhs(row, (cap * tighten).max(1.0));
-            }
-            m
-        })
-        .collect();
-
-    // Warm both paths once (page faults, lazy allocation), then take the
-    // min over repeats — wall-clock noise on shared machines swamps a
-    // single measurement, and the minimum is the least-contended run.
-    let cfg = SolverConfig::first_order(1e-7);
-    let _ = arrow_wan::lp::solve_batch(&models, &cfg);
-    let mut sequential_seconds = f64::INFINITY;
-    let mut batched_seconds = f64::INFINITY;
-    let mut sequential = Vec::new();
-    let mut batched = Vec::new();
-    for _ in 0..7 {
-        let t = std::time::Instant::now();
-        sequential = models.iter().map(|m| arrow_wan::lp::solve(m, &cfg)).collect();
-        sequential_seconds = sequential_seconds.min(t.elapsed().as_secs_f64());
-        let t = std::time::Instant::now();
-        batched = arrow_wan::lp::solve_batch(&models, &cfg);
-        batched_seconds = batched_seconds.min(t.elapsed().as_secs_f64());
-    }
-
-    assert_eq!(batched.len(), lanes);
-    for (s, b) in sequential.iter().zip(&batched) {
-        assert_eq!(b.stats.lanes, lanes, "a lane fell out of the shared panel");
-        assert_eq!(b.stats.backend, arrow_wan::lp::BackendKind::Pdhg);
-        assert_eq!(s.status, b.status);
-        assert_eq!(s.objective.to_bits(), b.objective.to_bits());
-        assert_eq!(s.x.len(), b.x.len());
-        for (xs, xb) in s.x.iter().zip(&b.x) {
-            assert_eq!(xs.to_bits(), xb.to_bits(), "primal drift between panel and sequential");
-        }
-        for (ds, db) in s.duals.iter().zip(&b.duals) {
-            assert_eq!(ds.to_bits(), db.to_bits(), "dual drift between panel and sequential");
-        }
-    }
-
-    let speedup = sequential_seconds / batched_seconds.max(1e-9);
-    println!(
-        "panel bench [{name}]: {lanes} lanes x {}x{} LP | sequential {:.3}s, batched {:.3}s \
-         ({speedup:.2}x) | bitwise identical ✓",
-        base.model.num_cons(),
-        base.model.num_vars(),
-        sequential_seconds,
-        batched_seconds
-    );
-    PanelBench {
-        topology: name.to_string(),
-        lanes,
-        rows: base.model.num_cons(),
-        cols: base.model.num_vars(),
-        sequential_seconds,
-        batched_seconds,
-        speedup,
-    }
-}
-
-fn batch_report_json(reports: &[TopologyReport], panels: &[PanelBench], threads: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{\n  \"threads\": {threads},\n  \"panel\": [");
-    for (i, p) in panels.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"topology\":\"{}\",\"lanes\":{},\"rows\":{},\"cols\":{},\
-             \"sequential_seconds\":{:.6},\"batched_seconds\":{:.6},\
-             \"lps_per_sec_sequential\":{:.1},\"lps_per_sec_batched\":{:.1},\
-             \"speedup\":{:.3},\"bitwise_identical\":true}}{}",
-            p.topology,
-            p.lanes,
-            p.rows,
-            p.cols,
-            p.sequential_seconds,
-            p.batched_seconds,
-            p.lanes as f64 / p.sequential_seconds.max(1e-9),
-            p.lanes as f64 / p.batched_seconds.max(1e-9),
-            p.speedup,
-            if i + 1 < panels.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "  ],\n  \"pipeline\": [");
-    for (i, r) in reports.iter().enumerate() {
-        let n = r.universe.len() as f64;
-        let _ = writeln!(
-            out,
-            "    {{\"name\":\"{}\",\"scenarios\":{},\
-             \"sequential_wall_seconds\":{:.6},\"batched_wall_seconds\":{:.6},\
-             \"sequential_scenarios_per_sec\":{:.1},\"batched_scenarios_per_sec\":{:.1},\
-             \"speedup\":{:.3},\"digests_equal\":true,\"ticket_set_digest\":\"{:016x}\"}}{}",
-            r.name,
-            r.universe.len(),
-            r.sequential_wall,
-            r.unsharded_wall,
-            n / r.sequential_wall.max(1e-9),
-            n / r.unsharded_wall.max(1e-9),
-            r.sequential_wall / r.unsharded_wall.max(1e-9),
-            r.unsharded_digest,
-            if i + 1 < reports.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "  ]\n}}");
-    out
 }
 
 fn report_json(reports: &[TopologyReport]) -> String {
@@ -416,11 +230,8 @@ fn main() {
     let ring = Arc::new(RingSubscriber::new(1 << 16));
     arrow_wan::obs::trace::install(ring.clone());
 
-    // Both modes compile at least MIN_PIPELINE_SCENARIOS scenarios: the
-    // batched-vs-sequential pipeline comparison in BENCH_batch.json is
-    // meaningless on a handful of LPs (fixed costs dominate), so even the
-    // CI smoke universe is sized to something the batch path can sink its
-    // teeth into. Smoke stays cheap by keeping num_tickets low instead.
+    // The smoke universe is the one `crates/core/tests/determinism.rs`
+    // pins by digest; it stays cheap by keeping num_tickets low.
     let (ucfg, lcfg, shard_counts): (UniverseConfig, LotteryConfig, Vec<usize>) = if smoke {
         (
             UniverseConfig {
@@ -430,7 +241,7 @@ fn main() {
                 auto_srlg_probability: 1e-3,
                 maintenance_window: 2,
                 maintenance_probability: 5e-4,
-                max_scenarios: MIN_PIPELINE_SCENARIOS,
+                max_scenarios: 64,
                 ..Default::default()
             },
             LotteryConfig { num_tickets: 6, ..Default::default() },
@@ -455,40 +266,16 @@ fn main() {
         )
     };
 
-    let mut reports = Vec::new();
-    let b4_wan = b4(17);
-    reports.push(sweep_topology("B4", &b4_wan, &ucfg, &lcfg, &shard_counts, &ring));
-    let ibm_wan = if smoke { None } else { Some(ibm(17)) };
-    if let Some(wan) = &ibm_wan {
-        reports.push(sweep_topology("IBM", wan, &ucfg, &lcfg, &shard_counts, &ring));
+    let mut reports = vec![sweep_topology("B4", &b4(17), &ucfg, &lcfg, &shard_counts, &ring)];
+    if !smoke {
+        reports.push(sweep_topology("IBM", &ibm(17), &ucfg, &lcfg, &shard_counts, &ring));
     }
 
     arrow_wan::obs::trace::uninstall();
 
-    // Multi-RHS panel bench: the tentpole's headline number. 16 lanes of
-    // one structure (the default `batch_lanes`, and the width where the
-    // panel working set stays cache-resident), sequential loop vs one SoA
-    // PDHG panel.
-    let lanes = 16;
-    let mut panels = vec![panel_bench("B4", &b4_wan, &reports[0].universe, lanes)];
-    if let Some(wan) = &ibm_wan {
-        panels.push(panel_bench("IBM", wan, &reports[1].universe, lanes));
-    }
-    for p in &panels {
-        assert!(
-            p.speedup >= 3.0,
-            "batched panel on {} only {:.2}x over sequential (need >= 3x)",
-            p.topology,
-            p.speedup
-        );
-    }
-
     let json = report_json(&reports);
     std::fs::write("BENCH_scenarios.json", &json).expect("write BENCH_scenarios.json");
     println!("wrote BENCH_scenarios.json");
-    let batch_json = batch_report_json(&reports, &panels, arrow_wan::core::default_threads());
-    std::fs::write("BENCH_batch.json", &batch_json).expect("write BENCH_batch.json");
-    println!("wrote BENCH_batch.json");
     println!(
         "all {} topology sweep(s): every shard merge reproduced the unsharded TicketSet",
         reports.len()

@@ -65,11 +65,10 @@ pub mod prelude {
     pub use crate::daemon::{serve, ChaosConfig, ServeConfig, ServeError, ServeReport};
     pub use arrow_core::{
         derive_seed, fractional_seed, generate_tickets, generate_tickets_serial,
-        generate_tickets_shard, generate_tickets_shard_with_threads, generate_tickets_universe,
-        generate_tickets_with_stats, generate_tickets_with_threads, kappa, naive_ticket,
-        optimality_probability, realize_ticket, tickets_for_target, ArrowController,
-        ControllerConfig, LinkRounding, LotteryConfig, OfflineStats, PlanError, ReconfigRule,
-        RoundDirection, ScenarioStats, ShardSpec, TePlan,
+        generate_tickets_shard, generate_tickets_universe, generate_tickets_with_stats,
+        generate_tickets_with_threads, kappa, naive_ticket, optimality_probability, realize_ticket,
+        tickets_for_target, ArrowController, ControllerConfig, LinkRounding, LotteryConfig,
+        OfflineStats, PlanError, ReconfigRule, RoundDirection, ScenarioStats, ShardSpec, TePlan,
     };
     pub use arrow_lp::{
         Backend, LinExpr, Model, Objective, Sense, SolveStats, SolverConfig, WarmEvent, WarmStart,
