@@ -505,15 +505,6 @@ impl ShardSpec {
     }
 }
 
-/// Scenarios per work item in [`generate_tickets_shard`]. One scenario per
-/// item finished a 64-scenario IBM universe faster on a 2-vCPU host, but it
-/// also spread a 4-scenario B4 universe over both threads and raised peak
-/// RSS by about 30% — probably because every concurrent relaxed-RWA solve
-/// holds its own dense simplex basis inverse. Chunks keep small universes
-/// on one worker. The chunk layout, like the thread count, never changes
-/// ticket bytes.
-const SHARD_CHUNK: usize = 16;
-
 /// Generates tickets for one shard of a compiled scenario universe.
 ///
 /// The returned [`TicketSet`] covers exactly the universe indices in
@@ -539,14 +530,9 @@ pub fn generate_tickets_shard(
     );
     // arrow-lint: allow(wall-clock-in-core) — offline-stage wall time feeds OfflineStats reporting; ticket contents never depend on it
     let t0 = std::time::Instant::now();
-    let chunks: Vec<&[usize]> = globals.chunks(SHARD_CHUNK).collect();
-    let per_chunk = crate::par::parallel_map_with(threads, chunks, |chunk| {
-        chunk
-            .iter()
-            .map(|&g| scenario_tickets(wan, universe.scenario(g), g, cfg))
-            .collect::<Vec<_>>()
+    let results = crate::par::parallel_map_with(threads, globals, |&g| {
+        (g, scenario_tickets(wan, universe.scenario(g), g, cfg))
     });
-    let results: Vec<_> = per_chunk.into_iter().flatten().collect();
     let mut entries = Vec::with_capacity(results.len());
     let mut stats = OfflineStats {
         per_scenario: Vec::with_capacity(results.len()),
@@ -554,7 +540,7 @@ pub fn generate_tickets_shard(
         work_seconds: 0.0,
         threads: threads.max(1),
     };
-    for (&g, (tickets, s)) in globals.iter().zip(results) {
+    for (g, (tickets, s)) in results {
         stats.work_seconds += s.seconds;
         stats.per_scenario.push(s);
         entries.push((g, tickets));

@@ -2,8 +2,9 @@
 //! PDLP, with Ruiz equilibration, iterate averaging, adaptive restarts, and
 //! primal-weight balancing.
 //!
-//! The simplex backend ([`crate::simplex`]) keeps a dense `m × m` basis
-//! inverse, which stops scaling around a few thousand rows. ARROW's Phase-I
+//! The simplex backend ([`crate::simplex`]) moves one basis column per
+//! pivot and prices every column on each, so its cost grows with both the
+//! LP's size and its pivot count. ARROW's Phase-I
 //! formulation multiplies scenarios × LotteryTickets × links, easily reaching
 //! tens of thousands of rows, so large instances are solved here: every
 //! iteration is two sparse matrix–vector products, nothing else.

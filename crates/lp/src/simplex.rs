@@ -3,16 +3,22 @@
 //! This is the exact solver backend: it handles general bounds `l ≤ x ≤ u`
 //! natively (no bound rows are added), runs a phase-1 with artificial
 //! variables to find a basic feasible solution, and then optimizes the real
-//! objective. The basis inverse is kept explicitly as a dense `m × m` matrix
-//! and updated with product-form pivots, which keeps the implementation
-//! simple and robust (the design priority here, per the networking guides)
-//! at the cost of `O(m²)` work per iteration. It is intended for problems up
-//! to a few thousand rows; larger instances should use [`crate::pdhg`].
+//! objective.
+//!
+//! The basis inverse is never formed. It is kept in product form as an eta
+//! file ([`EtaFile`]): a sparse reinversion writes one eta column per basic
+//! structural (slack and artificial columns first, then structurals
+//! sparsest-first, each pivoting on its largest entry in a free row), and
+//! every simplex pivot appends one more. FTRAN (`B⁻¹a`) and BTRAN (`B⁻ᵀc`)
+//! walk the file, so an iteration costs the file's nonzeros instead of the
+//! `O(m²)` of an explicit inverse. The basis is reinverted from scratch once
+//! the pivots' etas hold more nonzeros than the reinversion wrote.
 //!
 //! Implemented: Dantzig pricing with a Bland anti-cycling fallback, bound
-//! flips, periodic basis refactorization, infeasibility/unboundedness
-//! detection, and dual values. Deliberately omitted: steepest-edge pricing,
-//! sparse LU basis updates, and presolve.
+//! flips, infeasibility/unboundedness detection, singular-basis detection,
+//! and dual values. Deliberately omitted: steepest-edge pricing, Markowitz
+//! LU factors with Forrest–Tomlin updates, a dual simplex phase, and
+//! presolve.
 
 use crate::model::{Sense, StandardLp};
 use crate::solution::{Solution, SolveStats, Status};
@@ -31,8 +37,6 @@ pub struct SimplexConfig {
     /// Hard iteration limit (both phases combined). `0` means automatic
     /// (`200 + 20 * (rows + cols)`).
     pub max_iters: usize,
-    /// Refactorize the basis inverse from scratch every this many pivots.
-    pub refactor_every: usize,
     /// Switch to Bland's rule after this many consecutive degenerate pivots.
     pub degenerate_before_bland: usize,
 }
@@ -44,7 +48,6 @@ impl Default for SimplexConfig {
             feas_tol: 1e-7,
             pivot_tol: 1e-9,
             max_iters: 0,
-            refactor_every: 2000,
             degenerate_before_bland: 400,
         }
     }
@@ -103,6 +106,138 @@ impl Columns<'_> {
     }
 }
 
+/// A reinversion pivot smaller than this means the basis is singular.
+const SINGULAR_TOL: f64 = 1e-12;
+
+/// Eta entries smaller than this are rounding noise and are not stored.
+const DROP_TOL: f64 = 1e-14;
+
+/// A dense work vector that remembers which entries it touched, so that
+/// scanning and clearing it cost its fill instead of its length.
+struct SparseVec {
+    val: Vec<f64>,
+    touched: Vec<bool>,
+    nz: Vec<usize>,
+}
+
+impl SparseVec {
+    fn new(m: usize) -> Self {
+        SparseVec { val: vec![0.0; m], touched: vec![false; m], nz: Vec::new() }
+    }
+
+    fn add(&mut self, i: usize, v: f64) {
+        if !self.touched[i] {
+            self.touched[i] = true;
+            self.nz.push(i);
+        }
+        self.val[i] += v;
+    }
+
+    fn clear(&mut self) {
+        for &i in &self.nz {
+            self.val[i] = 0.0;
+            self.touched[i] = false;
+        }
+        self.nz.clear();
+    }
+}
+
+/// The basis inverse in product form.
+///
+/// Eta `k` is the identity with column `slot[k]` replaced; it maps a vector
+/// `d` with `d[slot] = piv` and off-slot entries `w` to the unit vector of
+/// its slot. The etas, applied oldest first, map the basis column at
+/// position `pos` to the unit vector of `slot_of[pos]`, so `B⁻¹a` at `pos`
+/// is entry `slot_of[pos]` of the transformed `a`. Slots are row indices:
+/// a reinversion assigns each basis column a distinct pivot row, and a
+/// pivot keeps the leaving column's slot for the entering one.
+struct EtaFile {
+    slot: Vec<usize>,
+    piv: Vec<f64>,
+    /// Off-slot entries of eta `k`: `idx[start[k]..start[k + 1]]`, same for `val`.
+    start: Vec<usize>,
+    idx: Vec<usize>,
+    val: Vec<f64>,
+    /// Slot of each basis position.
+    slot_of: Vec<usize>,
+    /// Nonzeros the last reinversion wrote, one per basis column plus fill.
+    fresh_nnz: usize,
+    /// Nonzeros the pivots since then appended.
+    update_nnz: usize,
+}
+
+impl EtaFile {
+    fn new() -> Self {
+        EtaFile {
+            slot: Vec::new(),
+            piv: Vec::new(),
+            start: vec![0],
+            idx: Vec::new(),
+            val: Vec::new(),
+            slot_of: Vec::new(),
+            fresh_nnz: 0,
+            update_nnz: 0,
+        }
+    }
+
+    /// Appends an eta with no off-slot entries (a scaled unit column).
+    fn push_unit(&mut self, slot: usize, piv: f64) {
+        self.slot.push(slot);
+        self.piv.push(piv);
+        self.start.push(self.idx.len());
+    }
+
+    /// Appends the eta that maps `d` to the unit vector of `slot`, and
+    /// returns its nonzeros.
+    fn push(&mut self, slot: usize, d: &SparseVec) -> usize {
+        let before = self.idx.len();
+        for &i in &d.nz {
+            let v = d.val[i];
+            if i != slot && v.abs() > DROP_TOL {
+                self.idx.push(i);
+                self.val.push(v);
+            }
+        }
+        self.push_unit(slot, d.val[slot]);
+        1 + self.idx.len() - before
+    }
+
+    /// FTRAN: applies the etas to `v` in order, in place.
+    fn ftran(&self, v: &mut SparseVec) {
+        for k in 0..self.slot.len() {
+            let p = self.slot[k];
+            let vp = v.val[p];
+            if vp == 0.0 {
+                continue;
+            }
+            let t = vp / self.piv[k];
+            v.val[p] = t;
+            for e in self.start[k]..self.start[k + 1] {
+                v.add(self.idx[e], -self.val[e] * t);
+            }
+        }
+    }
+
+    /// BTRAN: applies the transposed etas to the slot-indexed `v` newest
+    /// first, in place; the result is indexed by row.
+    fn btran(&self, v: &mut [f64]) {
+        for k in (0..self.slot.len()).rev() {
+            let p = self.slot[k];
+            let mut acc = v[p];
+            for e in self.start[k]..self.start[k + 1] {
+                acc -= self.val[e] * v[self.idx[e]];
+            }
+            v[p] = acc / self.piv[k];
+        }
+    }
+
+    /// Whether the pivots' etas outgrew the reinversion, so that a fresh
+    /// one is cheaper to apply.
+    fn outgrown(&self) -> bool {
+        self.update_nnz > self.fresh_nnz
+    }
+}
+
 /// Solver state for one solve call.
 struct Simplex<'a> {
     cfg: &'a SimplexConfig,
@@ -115,16 +250,17 @@ struct Simplex<'a> {
     state: Vec<VarState>,
     /// Basis: column index occupying each of the `m` basis positions.
     basis: Vec<usize>,
-    /// Explicit dense inverse of the basis matrix, row-major `m × m`.
-    binv: Vec<f64>,
+    /// Factorization of the basis matrix.
+    etas: EtaFile,
     m: usize,
     iterations: usize,
     refactors: usize,
-    pivots_since_refactor: usize,
     degenerate_streak: usize,
-    /// Scratch vectors reused across iterations.
+    /// Duals `y` (indexed by row), direction `w = B⁻¹a` (indexed by basis
+    /// position), and the slot-indexed FTRAN work vector behind `w`.
     y: Vec<f64>,
     w: Vec<f64>,
+    d: SparseVec,
 }
 
 /// Outcome of one inner simplex phase.
@@ -223,14 +359,7 @@ impl<'a> Simplex<'a> {
             basis[i] = j;
         }
 
-        // Initial basis matrix is diagonal (±1), so its inverse is too.
-        let mut binv = vec![0.0; m * m];
-        for i in 0..m {
-            let j = basis[i];
-            let d = if j >= n + m { art_signs[j - n - m] } else { 1.0 };
-            binv[i * m + i] = 1.0 / d;
-        }
-        Simplex {
+        let mut s = Simplex {
             cfg,
             cols: Columns { a: lp.a.to_csc(), n, m, art_rows, art_signs, lp },
             lb,
@@ -238,15 +367,19 @@ impl<'a> Simplex<'a> {
             x,
             state,
             basis,
-            binv,
+            etas: EtaFile::new(),
             m,
             iterations: 0,
             refactors: 0,
-            pivots_since_refactor: 0,
             degenerate_streak: 0,
             y: vec![0.0; m],
             w: vec![0.0; m],
-        }
+            d: SparseVec::new(m),
+        };
+        // One slack or artificial per row: this basis always factors.
+        let factored = s.reinvert();
+        debug_assert!(factored);
+        s
     }
 
     /// Rebuilds solver state from a recorded basis snapshot against
@@ -312,14 +445,14 @@ impl<'a> Simplex<'a> {
             x,
             state,
             basis: basis_vec,
-            binv: vec![0.0; m * m],
+            etas: EtaFile::new(),
             m,
             iterations: 0,
             refactors: 0,
-            pivots_since_refactor: 0,
             degenerate_streak: 0,
             y: vec![0.0; m],
             w: vec![0.0; m],
+            d: SparseVec::new(m),
         };
         if !s.refactorize() {
             return None;
@@ -351,103 +484,105 @@ impl<'a> Simplex<'a> {
         Basis { cols }
     }
 
-    /// `y = Binv' c_B` — dual prices for the given basic costs.
+    /// `y = B⁻ᵀ c_B` — dual prices for the given basic costs (BTRAN).
     fn compute_duals(&mut self, cost: &dyn Fn(&Self, usize) -> f64) {
-        let m = self.m;
         self.y.fill(0.0);
-        for i in 0..m {
-            let cb = cost(self, self.basis[i]);
-            if cb == 0.0 {
-                continue;
-            }
-            for k in 0..m {
-                self.y[k] += cb * self.binv[i * m + k];
-            }
+        for pos in 0..self.m {
+            let cb = cost(self, self.basis[pos]);
+            self.y[self.etas.slot_of[pos]] = cb;
         }
+        self.etas.btran(&mut self.y);
     }
 
-    /// `w = Binv a_j` for the entering column.
+    /// `w = B⁻¹ a_j` for the entering column (FTRAN). The slot-indexed
+    /// result stays in `d` for the pivot's eta.
     fn compute_direction(&mut self, j: usize) {
-        let m = self.m;
-        self.w.fill(0.0);
-        // Borrow-splitting: collect the column once (columns are tiny).
-        let mut entries: Vec<(usize, f64)> = Vec::new();
-        self.cols.for_each_entry(j, |i, v| entries.push((i, v)));
-        for (i, v) in entries {
-            for k in 0..m {
-                self.w[k] += v * self.binv[k * m + i];
-            }
+        self.d.clear();
+        let d = &mut self.d;
+        self.cols.for_each_entry(j, |i, v| d.add(i, v));
+        self.etas.ftran(&mut self.d);
+        for (w, &slot) in self.w.iter_mut().zip(&self.etas.slot_of) {
+            *w = self.d.val[slot];
         }
     }
 
-    /// Recomputes `binv` by Gauss–Jordan elimination of the current basis and
-    /// refreshes the basic variable values. Returns `false` if the basis is
-    /// numerically singular.
+    /// Reinverts the current basis into a fresh eta file and refreshes the
+    /// basic variable values. Returns `false` if the basis is numerically
+    /// singular.
     fn refactorize(&mut self) -> bool {
         self.refactors += 1;
-        let m = self.m;
-        // Build the dense basis matrix.
-        let mut mat = vec![0.0; m * m];
-        for (pos, &j) in self.basis.iter().enumerate() {
-            self.cols.for_each_entry(j, |i, v| mat[i * m + pos] = v);
+        if !self.reinvert() {
+            return false;
         }
-        let mut inv = vec![0.0; m * m];
-        for i in 0..m {
-            inv[i * m + i] = 1.0;
-        }
-        for col in 0..m {
-            // Partial pivoting.
-            let mut best = col;
-            let mut best_val = mat[col * m + col].abs();
-            for r in col + 1..m {
-                let v = mat[r * m + col].abs();
-                if v > best_val {
-                    best = r;
-                    best_val = v;
-                }
-            }
-            if best_val < 1e-12 {
-                return false;
-            }
-            if best != col {
-                for k in 0..m {
-                    mat.swap(col * m + k, best * m + k);
-                    inv.swap(col * m + k, best * m + k);
-                }
-            }
-            let piv = mat[col * m + col];
-            for k in 0..m {
-                mat[col * m + k] /= piv;
-                inv[col * m + k] /= piv;
-            }
-            for r in 0..m {
-                if r == col {
-                    continue;
-                }
-                let f = mat[r * m + col];
-                if f == 0.0 {
-                    continue;
-                }
-                for k in 0..m {
-                    mat[r * m + k] -= f * mat[col * m + k];
-                    inv[r * m + k] -= f * inv[col * m + k];
-                }
-            }
-        }
-        // inv now maps: row-permuted... Gauss-Jordan applied to [B | I]
-        // yields [I | B^{ -1 }] with consistent row ordering, but our basis
-        // inverse must satisfy x_B[pos] ordering. `mat` became the identity,
-        // so `inv` is B^{-1} directly.
-        self.binv = inv;
         self.refresh_basic_values();
-        self.pivots_since_refactor = 0;
         true
     }
 
-    /// Recomputes basic values `x_B = Binv (rhs - N x_N)` from scratch.
+    /// Writes the eta file of the current basis from scratch. Unit columns
+    /// (slacks, artificials) take their own row first; structurals follow
+    /// sparsest-first, each FTRANed through the etas so far and pivoted on
+    /// its largest entry in a row no earlier column took (partial
+    /// pivoting). Returns `false`, keeping the old file, if some column has
+    /// no usable pivot.
+    fn reinvert(&mut self) -> bool {
+        let (n, m) = (self.cols.n, self.m);
+        let mut etas = EtaFile::new();
+        etas.slot_of = vec![usize::MAX; m];
+        let mut taken = vec![false; m];
+        let mut structurals = Vec::new();
+        for (pos, &j) in self.basis.iter().enumerate() {
+            let (row, sign) = if j < n {
+                structurals.push((self.cols.a.col(j).count(), pos));
+                continue;
+            } else if j < n + m {
+                (j - n, 1.0)
+            } else {
+                let k = j - n - m;
+                (self.cols.art_rows[k], self.cols.art_signs[k])
+            };
+            if taken[row] {
+                return false;
+            }
+            taken[row] = true;
+            etas.slot_of[pos] = row;
+            if sign != 1.0 {
+                etas.push_unit(row, sign);
+            }
+            etas.fresh_nnz += 1;
+        }
+        structurals.sort_unstable();
+        let d = &mut self.d;
+        for (_, pos) in structurals {
+            d.clear();
+            self.cols.for_each_entry(self.basis[pos], |i, v| d.add(i, v));
+            etas.ftran(d);
+            let mut best: Option<(usize, f64)> = None;
+            for &i in &d.nz {
+                let v = d.val[i].abs();
+                if !taken[i] && best.is_none_or(|(_, b)| v > b) {
+                    best = Some((i, v));
+                }
+            }
+            let Some((row, _)) = best.filter(|&(_, v)| v >= SINGULAR_TOL) else {
+                return false;
+            };
+            taken[row] = true;
+            etas.slot_of[pos] = row;
+            etas.fresh_nnz += etas.push(row, d);
+        }
+        self.etas = etas;
+        true
+    }
+
+    /// Recomputes basic values `x_B = B⁻¹ (rhs - N x_N)` from scratch.
     fn refresh_basic_values(&mut self) {
-        let m = self.m;
-        let mut resid = self.cols.lp.rhs.clone();
+        let d = &mut self.d;
+        d.clear();
+        for (i, &r) in self.cols.lp.rhs.iter().enumerate() {
+            if r != 0.0 {
+                d.add(i, r);
+            }
+        }
         for j in 0..self.cols.total() {
             if matches!(self.state[j], VarState::Basic(_)) {
                 continue;
@@ -456,14 +591,11 @@ impl<'a> Simplex<'a> {
             if xj == 0.0 {
                 continue;
             }
-            self.cols.for_each_entry(j, |i, v| resid[i] -= v * xj);
+            self.cols.for_each_entry(j, |i, v| d.add(i, -v * xj));
         }
-        for pos in 0..m {
-            let mut acc = 0.0;
-            for (k, &rk) in resid.iter().enumerate().take(m) {
-                acc += self.binv[pos * m + k] * rk;
-            }
-            self.x[self.basis[pos]] = acc;
+        self.etas.ftran(d);
+        for (pos, &slot) in self.etas.slot_of.iter().enumerate() {
+            self.x[self.basis[pos]] = d.val[slot];
         }
     }
 
@@ -489,7 +621,7 @@ impl<'a> Simplex<'a> {
                 return PhaseEnd::IterLimit;
             }
             self.iterations += 1;
-            if self.pivots_since_refactor >= self.cfg.refactor_every && !self.refactorize() {
+            if self.etas.outgrown() && !self.refactorize() {
                 return PhaseEnd::Stalled;
             }
             self.compute_duals(cost);
@@ -607,24 +739,9 @@ impl<'a> Simplex<'a> {
                     self.state[j_leave] =
                         if hits_upper { VarState::AtUpper } else { VarState::AtLower };
                     self.basis[pos] = j_enter;
-                    // Product-form update of the explicit inverse.
-                    let m = self.m;
-                    for k in 0..m {
-                        self.binv[pos * m + k] /= piv;
-                    }
-                    for r in 0..m {
-                        if r == pos {
-                            continue;
-                        }
-                        let f = self.w[r];
-                        if f == 0.0 {
-                            continue;
-                        }
-                        for k in 0..m {
-                            self.binv[r * m + k] -= f * self.binv[pos * m + k];
-                        }
-                    }
-                    self.pivots_since_refactor += 1;
+                    // The entering column takes over the leaving one's slot.
+                    let nnz = self.etas.push(self.etas.slot_of[pos], &self.d);
+                    self.etas.update_nnz += nnz;
                 }
             }
         }
@@ -1049,6 +1166,97 @@ mod tests {
         assert_eq!(s.status, Status::Optimal);
         assert_eq!(s.stats.warm, crate::warm::WarmEvent::Miss);
         assert!((s.objective - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn dependent_warm_basis_is_a_miss_with_the_cold_optimum() {
+        // x and y have the same column, so a basis holding both has the
+        // right basic count but is singular: the reinversion must reject it.
+        let mut m = Model::new();
+        let x = m.add_nonneg("x");
+        let y = m.add_nonneg("y");
+        m.add_con(LinExpr::new().add(x, 1.0).add(y, 1.0), Sense::Le, 4.0, "c1");
+        m.add_con(LinExpr::new().add(x, 2.0).add(y, 2.0), Sense::Le, 10.0, "c2");
+        m.set_objective(LinExpr::new().add(x, 1.0).add(y, 2.0), Objective::Maximize);
+        let lp = m.to_standard();
+        use crate::warm::ColStatus::{AtLower, Basic};
+        let dependent = crate::warm::Basis { cols: vec![Basic, Basic, AtLower, AtLower] };
+        assert_eq!(dependent.num_basic(), lp.num_cons());
+        let s = solve_warm(&lp, &SimplexConfig::default(), Some(&dependent));
+        assert_eq!(s.status, Status::Optimal);
+        assert_eq!(s.stats.warm, crate::warm::WarmEvent::Miss);
+        assert!((s.objective - 8.0).abs() < 1e-9, "obj {}", s.objective);
+        assert!((s.x[1] - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn dense_lp_rebuilds_the_factorization_and_stays_exact() {
+        // max Σx s.t. Σx + x_i <= n + 1 for every i: summing the rows gives
+        // (n + 1) Σx <= n (n + 1), so the optimum is n at x = 1. Every
+        // entering column is dense, so the pivots' etas outgrow the
+        // reinversion after a few pivots and the basis is rebuilt mid-solve.
+        let n = 12;
+        let mut m = Model::new();
+        let xs: Vec<_> = (0..n).map(|i| m.add_nonneg(format!("x{i}"))).collect();
+        for (i, &xi) in xs.iter().enumerate() {
+            let mut row = LinExpr::new();
+            for &xj in &xs {
+                row = row.add(xj, if xj == xi { 2.0 } else { 1.0 });
+            }
+            m.add_con(row, Sense::Le, (n + 1) as f64, format!("r{i}"));
+        }
+        let mut obj = LinExpr::new();
+        for &xj in &xs {
+            obj = obj.add(xj, 1.0);
+        }
+        m.set_objective(obj, Objective::Maximize);
+        let s = solve_model(&m);
+        assert_eq!(s.status, Status::Optimal);
+        assert!((s.objective - n as f64).abs() < 1e-9, "obj {}", s.objective);
+        for (j, v) in s.x.iter().enumerate() {
+            assert!((v - 1.0).abs() < 1e-9, "x{j} = {v}");
+        }
+        // One rebuild is the final clean-up; the rest happened mid-solve.
+        assert!(s.stats.refactors >= 3, "refactors {}", s.stats.refactors);
+    }
+
+    #[test]
+    fn reinversion_solves_both_basis_systems() {
+        // A basis mixing structurals and slacks: FTRAN of every basic column
+        // must give its unit vector, and BTRAN must price basic columns at
+        // their cost.
+        let mut m = Model::new();
+        let v: Vec<_> = (0..4).map(|i| m.add_nonneg(format!("v{i}"))).collect();
+        let rows: [&[(usize, f64)]; 4] = [
+            &[(0, 2.0), (1, 1.0)],
+            &[(0, 1.0), (1, 3.0), (2, 1.0)],
+            &[(1, 1.0), (2, 4.0), (3, 2.0)],
+            &[(2, 1.0), (3, 5.0)],
+        ];
+        for (i, row) in rows.iter().enumerate() {
+            let e = row.iter().fold(LinExpr::new(), |e, &(j, a)| e.add(v[j], a));
+            m.add_con(e, Sense::Le, 10.0, format!("r{i}"));
+        }
+        m.set_objective(LinExpr::new().add(v[0], 1.0).add(v[2], 3.0), Objective::Minimize);
+        let lp = m.to_standard();
+        use crate::warm::ColStatus::{AtLower, Basic};
+        // v0, v2, v3 basic plus row 1's slack (column 4 + 1).
+        let cols = vec![Basic, AtLower, Basic, Basic, AtLower, Basic, AtLower, AtLower];
+        let cfg = SimplexConfig::default();
+        let mut s = Simplex::from_basis(&lp, &cfg, &crate::warm::Basis { cols }).expect("fits");
+        for pos in 0..s.m {
+            s.compute_direction(s.basis[pos]);
+            for (k, &wk) in s.w.iter().enumerate() {
+                let want = if k == pos { 1.0 } else { 0.0 };
+                assert!((wk - want).abs() < 1e-12, "B⁻¹a at position {pos}: w = {:?}", s.w);
+            }
+        }
+        let cost = |s: &Simplex, j: usize| if j < s.cols.n { s.cols.lp.obj[j] } else { 0.0 };
+        s.compute_duals(&cost);
+        for &j in &s.basis.clone() {
+            let priced = s.cols.dot_with(j, &s.y);
+            assert!((priced - cost(&s, j)).abs() < 1e-12, "column {j}: {priced}");
+        }
     }
 
     #[test]

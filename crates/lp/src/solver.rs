@@ -19,7 +19,8 @@ pub enum Backend {
     /// PDHG above. Models with integer variables always use branch & bound.
     #[default]
     Auto,
-    /// Dense two-phase simplex (exact; small/medium problems).
+    /// Two-phase simplex over a sparse eta-file basis (exact; small/medium
+    /// problems).
     Simplex,
     /// Restarted averaged PDHG (approximate to tolerance; large problems).
     Pdhg,
@@ -269,7 +270,7 @@ mod tests {
         let before = arrow_obs::metrics::snapshot();
         let s = solve(&tiny_model(), &SolverConfig::exact());
         let after = arrow_obs::metrics::snapshot();
-        // The simplex always refactorizes at least once (initial basis).
+        // The simplex always refactorizes at least once (the final clean-up).
         assert!(s.stats.refactors >= 1);
         assert!(after.counter("lp.solves") > before.counter("lp.solves"));
         assert!(after.counter("lp.warm.cold") > before.counter("lp.warm.cold"));
