@@ -9,7 +9,7 @@
 
 use arrow_bench::{banner, setup_by_name, summary};
 use arrow_core::{generate_tickets, LotteryConfig};
-use arrow_te::Arrow;
+use arrow_te::{Arrow, ArrowOnline};
 
 fn main() {
     banner(
@@ -33,12 +33,10 @@ fn main() {
                 &inst.scenarios,
                 &LotteryConfig { num_tickets: z, ..Default::default() },
             );
-            let outcome = Arrow::new(tickets).solve_detailed(&inst);
-            let total = outcome.phase1_seconds + outcome.phase2_seconds;
-            println!(
-                "{:>6} {:>12.3} {:>12.3} {:>12.3}",
-                z, outcome.phase1_seconds, outcome.phase2_seconds, total
-            );
+            let outcome = ArrowOnline::new(Arrow::new(tickets), &inst).solve(&inst);
+            let (p1, p2) = (outcome.phase1_stats.solve_seconds, outcome.phase2_stats.solve_seconds);
+            let total = p1 + p2;
+            println!("{:>6} {:>12.3} {:>12.3} {:>12.3}", z, p1, p2, total);
             worst = worst.max(total);
         }
     }

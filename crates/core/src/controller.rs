@@ -13,8 +13,8 @@
 //! fibers) ready to install so the network reacts in seconds when a cut
 //! actually happens (§5).
 
-use crate::lottery::{generate_tickets_with_stats, LotteryConfig, OfflineStats};
-use crate::par::parallel_map;
+use crate::lottery::{generate_tickets_with_threads, LotteryConfig, OfflineStats};
+use crate::par::{default_threads, parallel_map};
 use arrow_optical::rwa::greedy_assign;
 use arrow_optical::FiberPath;
 use arrow_te::schemes::arrow::{Arrow, ArrowOnline, ArrowOutcome};
@@ -127,13 +127,13 @@ pub struct TePlan {
     pub instance: TeInstance,
 }
 
-/// Cached online-stage state for [`ArrowController::plan_warm`]: the
+/// Cached online-stage state for [`ArrowController::plan_epoch`]: the
 /// expensive tunnel computation and Phase I skeleton are built on the
 /// first call and re-used (with patched demands) on every later one.
 #[derive(Debug, Clone)]
 struct OnlineCache {
-    /// Instance built on the first warm call; later calls only swap
-    /// demands via [`TeInstance::with_demands`].
+    /// Instance built on the cold epoch; later epochs only swap demands
+    /// via [`TeInstance::with_demands`].
     instance: TeInstance,
     /// Incremental two-phase solver carrying warm starts across epochs.
     online: ArrowOnline,
@@ -169,7 +169,7 @@ fn epoch_metrics() -> &'static EpochMetrics {
         arrow_obs::metrics::describe("epoch.warm", "warm-start TE epochs planned");
         arrow_obs::metrics::describe(
             "epoch.seconds",
-            "wall-clock seconds per online TE epoch (plan or plan_warm)",
+            "wall-clock seconds per online TE epoch (plan_epoch)",
         );
         EpochMetrics {
             cold: arrow_obs::metrics::counter("epoch.cold"),
@@ -188,7 +188,9 @@ fn epoch_metrics() -> &'static EpochMetrics {
 /// to install or the previous plan must be reused.
 #[derive(Debug, Clone, Copy)]
 pub struct EpochReport {
-    /// Whether the warm (cached) online path served this epoch.
+    /// Whether the epoch reused the online cache. `false` on the epoch
+    /// that builds it: the first one, and the first after
+    /// [`ArrowController::reset_online_cache`].
     pub warm: bool,
     /// Wall-clock seconds the epoch took, including any hook work.
     pub seconds: f64,
@@ -219,7 +221,8 @@ impl ArrowController {
     /// scenarios (see [`crate::par`]), keeping the per-scenario
     /// [`OfflineStats`] in [`OfflineState::stats`].
     pub fn new(wan: Wan, scenarios: Vec<FailureScenario>, config: ControllerConfig) -> Self {
-        let (tickets, stats) = generate_tickets_with_stats(&wan, &scenarios, &config.lottery);
+        let (tickets, stats) =
+            generate_tickets_with_threads(&wan, &scenarios, &config.lottery, default_threads());
         ArrowController {
             offline: OfflineState { scenarios, tickets, stats },
             wan,
@@ -251,41 +254,24 @@ impl ArrowController {
         &self.offline
     }
 
-    /// Runs one online TE epoch for the current traffic matrix.
+    /// Runs one online TE epoch for the current traffic matrix and
+    /// reports how it fared ([`EpochReport`]: warm or cold, wall seconds,
+    /// the SLO verdict). An optional pre-solve [`EpochHook`] runs inside
+    /// the epoch's span and deadline window.
+    ///
+    /// The first epoch, and the first after
+    /// [`ArrowController::reset_online_cache`], is cold: it builds the
+    /// tunnels and the Phase I skeleton. Every later epoch re-uses them,
+    /// patching demands in place and warm-starting both LP phases from the
+    /// previous interval's optimum — consecutive traffic matrices are
+    /// close and the five-minute deadline (§5) is tight. A cached epoch
+    /// plans what a fresh controller plans for the same traffic matrix
+    /// (identical winning tickets; Phase II objective equal up to solver
+    /// tolerance).
     ///
     /// Fails with [`PlanError`] when the offline state cannot support a
     /// solve — a ticketless scenario or a scenario/ticket-set mismatch —
     /// rather than panicking inside the TE scheme.
-    pub fn plan(&self, tm: &TrafficMatrix) -> Result<TePlan, PlanError> {
-        let _span = arrow_obs::span!("epoch", "mode" => "cold");
-        // arrow-lint: allow(wall-clock-in-core) — measures epoch wall time for the metrics registry only; no solver decision reads it
-        let t0 = std::time::Instant::now();
-        self.validate_offline()?;
-        let instance = build_instance(&self.wan, tm, &self.offline.scenarios, &self.config.tunnels);
-        let outcome = self.arrow_scheme().solve_detailed(&instance);
-        let plan = self.finish_plan(outcome, instance);
-        epoch_metrics().record(false, t0.elapsed().as_secs_f64());
-        plan
-    }
-
-    /// [`ArrowController::plan`] with cross-epoch caching: the first call
-    /// builds tunnels and the Phase I skeleton; every later call re-uses
-    /// them, patching demands in place and warm-starting both LP phases
-    /// from the previous interval's optimum. Intended for diurnal sweeps
-    /// where consecutive traffic matrices are close and the five-minute
-    /// deadline (§5) is tight.
-    ///
-    /// The plan produced is equivalent to [`ArrowController::plan`] for
-    /// the same traffic matrix (identical winning tickets; Phase II
-    /// objective equal up to solver tolerance).
-    pub fn plan_warm(&mut self, tm: &TrafficMatrix) -> Result<TePlan, PlanError> {
-        self.plan_epoch(tm, None).map(|(plan, _)| plan)
-    }
-
-    /// The daemon-facing epoch entry point: [`ArrowController::plan_warm`]
-    /// plus the measured [`EpochReport`] (wall seconds and the SLO
-    /// verdict), and an optional pre-solve [`EpochHook`] that runs inside
-    /// the epoch's span and deadline window.
     ///
     /// The verdict is computed from the same wall clock the `epoch` span
     /// and `epoch.seconds` histogram see, so a deadline miss reported here
@@ -295,7 +281,8 @@ impl ArrowController {
         tm: &TrafficMatrix,
         hook: Option<EpochHook<'_>>,
     ) -> Result<(TePlan, EpochReport), PlanError> {
-        let _span = arrow_obs::span!("epoch", "mode" => "warm");
+        let warm = self.online.is_some();
+        let _span = arrow_obs::span!("epoch", "mode" => if warm { "warm" } else { "cold" });
         // arrow-lint: allow(wall-clock-in-core) — measures epoch wall time for the metrics registry only; no solver decision reads it
         let t0 = std::time::Instant::now();
         self.validate_offline()?;
@@ -316,13 +303,14 @@ impl ArrowController {
         let outcome = cache.online.solve(&instance);
         let plan = self.finish_plan(outcome, instance);
         let seconds = t0.elapsed().as_secs_f64();
-        let verdict = epoch_metrics().record(true, seconds);
-        plan.map(|p| (p, EpochReport { warm: true, seconds, verdict }))
+        let verdict = epoch_metrics().record(warm, seconds);
+        plan.map(|p| (p, EpochReport { warm, seconds, verdict }))
     }
 
     /// Drops the cached online state (tunnels, LP skeleton, warm starts).
     /// Call after mutating `wan`, `config`, or the offline state in place;
-    /// the next [`ArrowController::plan_warm`] rebuilds from scratch.
+    /// the next [`ArrowController::plan_epoch`] is cold and rebuilds from
+    /// scratch.
     pub fn reset_online_cache(&mut self) {
         self.online = None;
     }
@@ -430,8 +418,9 @@ mod tests {
 
     #[test]
     fn end_to_end_plan_is_consistent() {
-        let (ctl, tm) = controller();
-        let plan = ctl.plan(&tm.scaled(2.0)).expect("valid offline state plans cleanly");
+        let (mut ctl, tm) = controller();
+        let (plan, _) =
+            ctl.plan_epoch(&tm.scaled(2.0), None).expect("valid offline state plans cleanly");
         // Winning tickets exist for every scenario.
         assert_eq!(plan.outcome.winning.len(), ctl.offline().scenarios.len());
         // Splitting ratios normalize per flow.
@@ -456,9 +445,9 @@ mod tests {
 
     #[test]
     fn offline_state_reused_across_epochs() {
-        let (ctl, tm) = controller();
-        let p1 = ctl.plan(&tm).unwrap();
-        let p2 = ctl.plan(&tm.scaled(1.5)).unwrap();
+        let (mut ctl, tm) = controller();
+        let (p1, _) = ctl.plan_epoch(&tm, None).unwrap();
+        let (p2, _) = ctl.plan_epoch(&tm.scaled(1.5), None).unwrap();
         // Same scenarios and tickets; different demands may change winners.
         assert_eq!(p1.outcome.winning.len(), p2.outcome.winning.len());
         assert!(p1.outcome.output.alloc.total_admitted() > 0.0);
@@ -468,10 +457,12 @@ mod tests {
     #[test]
     fn warm_plan_matches_cold_plan_across_epochs() {
         let (mut ctl, tm) = controller();
+        let mut fresh = ctl.clone();
         for scale in [1.0, 1.4, 0.7] {
             let shifted = tm.scaled(scale);
-            let cold = ctl.plan(&shifted).expect("cold plan");
-            let warm = ctl.plan_warm(&shifted).expect("warm plan");
+            fresh.reset_online_cache();
+            let (cold, _) = fresh.plan_epoch(&shifted, None).expect("cold plan");
+            let (warm, _) = ctl.plan_epoch(&shifted, None).expect("warm plan");
             assert_eq!(warm.outcome.winning, cold.outcome.winning, "scale {scale}");
             let (tw, tc) = (
                 warm.outcome.output.alloc.total_admitted(),
@@ -484,21 +475,51 @@ mod tests {
             assert_eq!(warm.reconfig_rules.len(), cold.reconfig_rules.len());
         }
         // Later epochs reuse the cached skeleton and start warm.
-        let again = ctl.plan_warm(&tm.scaled(1.2)).unwrap();
+        let (again, _) = ctl.plan_epoch(&tm.scaled(1.2), None).unwrap();
         assert_ne!(
             again.outcome.phase1_stats.warm,
             arrow_lp::WarmEvent::Cold,
             "cached online state should warm-start Phase I"
         );
         ctl.reset_online_cache();
-        let reset = ctl.plan_warm(&tm).unwrap();
+        let (reset, _) = ctl.plan_epoch(&tm, None).unwrap();
         assert_eq!(reset.outcome.phase1_stats.warm, arrow_lp::WarmEvent::Cold);
     }
 
     #[test]
+    fn epoch_report_labels_the_cache_building_epoch_cold() {
+        // Only the epoch that builds the online cache is cold: the first
+        // one and the first after a reset. The registry is process-wide
+        // and other tests plan concurrently, so counters are checked as
+        // lower bounds; the report is exact.
+        let (mut ctl, tm) = controller();
+        let counts = || {
+            let snap = arrow_obs::metrics::snapshot();
+            (snap.counter("epoch.cold"), snap.counter("epoch.warm"))
+        };
+        let expect_epoch = |ctl: &mut ArrowController, warm: bool| {
+            let (cold0, warm0) = counts();
+            let (_, report) = ctl.plan_epoch(&tm, None).expect("valid offline state");
+            let (cold1, warm1) = counts();
+            assert_eq!(report.warm, warm);
+            if warm {
+                assert!(warm1 > warm0, "a warm epoch bumps epoch.warm");
+            } else {
+                assert!(cold1 > cold0, "a cold epoch bumps epoch.cold");
+            }
+        };
+        expect_epoch(&mut ctl, false);
+        expect_epoch(&mut ctl, true);
+        expect_epoch(&mut ctl, true);
+        ctl.reset_online_cache();
+        expect_epoch(&mut ctl, false);
+        expect_epoch(&mut ctl, true);
+    }
+
+    #[test]
     fn rules_respect_wavelength_counts() {
-        let (ctl, tm) = controller();
-        let plan = ctl.plan(&tm.scaled(3.0)).unwrap();
+        let (mut ctl, tm) = controller();
+        let (plan, _) = ctl.plan_epoch(&tm.scaled(3.0), None).unwrap();
         for rule in &plan.reconfig_rules {
             let assigned: usize = rule.routes.iter().map(|(_, s)| s.len()).sum();
             let lost = ctl.wan.optical.lightpath(rule.lightpath).wavelength_count();
@@ -523,25 +544,25 @@ mod tests {
         // Phase I would have nothing to choose from there.
         let mut tickets = ctl.offline().tickets.clone();
         tickets.per_scenario[2].clear();
-        let hollow = ArrowController::with_tickets(
+        let mut hollow = ArrowController::with_tickets(
             ctl.wan.clone(),
             ctl.offline().scenarios.clone(),
             tickets,
             ctl.config.clone(),
         );
-        assert!(matches!(hollow.plan(&tm), Err(PlanError::NoTickets { scenario: 2 })));
+        assert!(matches!(hollow.plan_epoch(&tm, None), Err(PlanError::NoTickets { scenario: 2 })));
 
         // And with a ticket set that covers too few scenarios.
         let mut truncated = ctl.offline().tickets.clone();
         truncated.per_scenario.pop();
-        let short = ArrowController::with_tickets(
+        let mut short = ArrowController::with_tickets(
             ctl.wan.clone(),
             ctl.offline().scenarios.clone(),
             truncated,
             ctl.config.clone(),
         );
         assert!(matches!(
-            short.plan(&tm),
+            short.plan_epoch(&tm, None),
             Err(PlanError::ScenarioMismatch { expected: 5, actual: 4 })
         ));
     }

@@ -422,19 +422,11 @@ pub fn generate_tickets(
     scenarios: &[FailureScenario],
     cfg: &LotteryConfig,
 ) -> TicketSet {
-    generate_tickets_with_stats(wan, scenarios, cfg).0
+    generate_tickets_with_threads(wan, scenarios, cfg, crate::par::default_threads()).0
 }
 
-/// [`generate_tickets`] plus the [`OfflineStats`] report.
-pub fn generate_tickets_with_stats(
-    wan: &Wan,
-    scenarios: &[FailureScenario],
-    cfg: &LotteryConfig,
-) -> (TicketSet, OfflineStats) {
-    generate_tickets_with_threads(wan, scenarios, cfg, crate::par::default_threads())
-}
-
-/// [`generate_tickets_with_stats`] with an explicit worker count (the
+/// [`generate_tickets`] with an explicit worker count, plus the
+/// [`OfflineStats`] report (the controller passes the default count; the
 /// determinism regression tests pin 1/2/N threads through this).
 pub fn generate_tickets_with_threads(
     wan: &Wan,
@@ -442,33 +434,49 @@ pub fn generate_tickets_with_threads(
     cfg: &LotteryConfig,
     threads: usize,
 ) -> (TicketSet, OfflineStats) {
+    let work = scenarios.iter().enumerate().collect();
+    generate_indexed(wan, work, cfg, threads, ShardSpec::whole())
+}
+
+/// The one offline driver behind every parallel entry point: Algorithm 1
+/// for each `(global index, scenario)` work item, fanned out over
+/// `threads` workers under one `offline` span.
+fn generate_indexed(
+    wan: &Wan,
+    work: Vec<(usize, &FailureScenario)>,
+    cfg: &LotteryConfig,
+    threads: usize,
+    shard: ShardSpec,
+) -> (TicketSet, OfflineStats) {
     let _span = arrow_obs::span!(
         "offline",
-        "scenarios" => scenarios.len(),
+        "scenarios" => work.len(),
+        "shard.index" => shard.index,
+        "shard.of" => shard.of,
         "threads" => threads,
         "num_tickets" => cfg.num_tickets,
     );
     // arrow-lint: allow(wall-clock-in-core) — offline-stage wall time feeds OfflineStats reporting; ticket contents never depend on it
     let t0 = std::time::Instant::now();
-    let indices: Vec<usize> = (0..scenarios.len()).collect();
-    let results = crate::par::parallel_map_with(threads, indices, |&i| {
-        scenario_tickets(wan, &scenarios[i], i, cfg)
+    let results = crate::par::parallel_map_with(threads, work, |&(g, scen)| {
+        (g, scenario_tickets(wan, scen, g, cfg))
     });
-    let mut per_scenario = Vec::with_capacity(results.len());
+    let mut entries = Vec::with_capacity(results.len());
     let mut stats = OfflineStats {
         per_scenario: Vec::with_capacity(results.len()),
         wall_seconds: 0.0,
         work_seconds: 0.0,
         threads: threads.max(1),
     };
-    for (tickets, s) in results {
+    for (g, (tickets, s)) in results {
         stats.work_seconds += s.seconds;
         stats.per_scenario.push(s);
-        per_scenario.push(tickets);
+        entries.push((g, tickets));
     }
     stats.wall_seconds = t0.elapsed().as_secs_f64();
     offline_metrics().wall_seconds.set(stats.wall_seconds);
-    (TicketSet::full(per_scenario), stats)
+    // Work covering `0..n` in order makes a full set.
+    (TicketSet::sharded(entries), stats)
 }
 
 /// One deterministic slice of a scenario universe: shard `index` of `of`
@@ -518,36 +526,9 @@ pub fn generate_tickets_shard(
     cfg: &LotteryConfig,
     shard: ShardSpec,
 ) -> (TicketSet, OfflineStats) {
-    let threads = crate::par::default_threads();
-    let globals = shard.indices(universe.len());
-    let _span = arrow_obs::span!(
-        "offline",
-        "scenarios" => globals.len(),
-        "shard.index" => shard.index,
-        "shard.of" => shard.of,
-        "threads" => threads,
-        "num_tickets" => cfg.num_tickets,
-    );
-    // arrow-lint: allow(wall-clock-in-core) — offline-stage wall time feeds OfflineStats reporting; ticket contents never depend on it
-    let t0 = std::time::Instant::now();
-    let results = crate::par::parallel_map_with(threads, globals, |&g| {
-        (g, scenario_tickets(wan, universe.scenario(g), g, cfg))
-    });
-    let mut entries = Vec::with_capacity(results.len());
-    let mut stats = OfflineStats {
-        per_scenario: Vec::with_capacity(results.len()),
-        wall_seconds: 0.0,
-        work_seconds: 0.0,
-        threads: threads.max(1),
-    };
-    for (g, (tickets, s)) in results {
-        stats.work_seconds += s.seconds;
-        stats.per_scenario.push(s);
-        entries.push((g, tickets));
-    }
-    stats.wall_seconds = t0.elapsed().as_secs_f64();
-    offline_metrics().wall_seconds.set(stats.wall_seconds);
-    (TicketSet::sharded(entries), stats)
+    let work =
+        shard.indices(universe.len()).into_iter().map(|g| (g, universe.scenario(g))).collect();
+    generate_indexed(wan, work, cfg, crate::par::default_threads(), shard)
 }
 
 /// Algorithm 1 over a whole compiled universe — the single-shard

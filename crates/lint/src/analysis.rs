@@ -29,13 +29,8 @@ use std::collections::VecDeque;
 
 /// Default panic-reachability entry points (suffix-matched against
 /// qualified names; extend with `--entry`).
-pub const DEFAULT_ENTRIES: &[&str] = &[
-    "ArrowController::plan_epoch",
-    "ArrowController::plan",
-    "ArrowController::plan_warm",
-    "daemon::serve",
-    "lottery::generate_tickets",
-];
+pub const DEFAULT_ENTRIES: &[&str] =
+    &["ArrowController::plan_epoch", "daemon::serve", "lottery::generate_tickets"];
 
 /// Default determinism-taint sinks: producers of digests, `ScenarioId`s,
 /// tickets, and plans (suffix-matched; extend with `--sink`).
@@ -46,8 +41,6 @@ pub const DEFAULT_SINKS: &[&str] = &[
     "lottery::generate_tickets",
     "telemetry::generate_tickets",
     "failures::compile_universe",
-    "ArrowController::plan",
-    "ArrowController::plan_warm",
     "ArrowController::plan_epoch",
 ];
 

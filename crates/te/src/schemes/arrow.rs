@@ -20,15 +20,17 @@
 //! restorable-tunnel set `Y_f^{z,q}`. The builder deduplicates on support
 //! — a pure formulation-size optimization with identical semantics.
 //!
+//! Both phases run in one place, [`ArrowOnline::solve`]; a one-shot
+//! solve ([`TeScheme::solve`] for [`Arrow`]) is the first solve of a fresh
+//! `ArrowOnline`, with nothing cached and nothing to warm-start from.
+//!
 //! **ARROW-Naive** (§6) skips Phase I: it uses a single optical-layer-
 //! optimal restoration candidate per scenario and solves Phase II with it.
 
 use super::{base_model, extract_alloc, BaseModel, SchemeOutput, TeScheme};
 use crate::restoration::{RestorationTicket, TicketSet};
 use crate::tunnels::{TeInstance, TunnelId};
-use arrow_lp::{
-    ConId, LinExpr, PrimalDual, Sense, Solution, SolveStats, SolverConfig, VarId, WarmStart,
-};
+use arrow_lp::{LinExpr, PrimalDual, Sense, Solution, SolveStats, SolverConfig, VarId, WarmStart};
 
 /// The ARROW scheme (two-phase, LotteryTicket-driven).
 #[derive(Debug, Clone)]
@@ -56,10 +58,6 @@ pub struct ArrowOutcome {
     pub output: SchemeOutput,
     /// Winning ticket index per scenario (into `tickets.per_scenario[q]`).
     pub winning: Vec<usize>,
-    /// Phase I LP solve seconds.
-    pub phase1_seconds: f64,
-    /// Phase II LP solve seconds.
-    pub phase2_seconds: f64,
     /// Phase I solver observability (size, iterations, backend, warm event).
     pub phase1_stats: SolveStats,
     /// Phase II solver observability.
@@ -80,44 +78,19 @@ fn restorable_tunnels(
         .collect()
 }
 
-/// The Phase I LP skeleton plus the row handles needed to patch it in
-/// place between consecutive online solves.
-///
-/// Everything about the model except the demand bounds on `b_f` and the
-/// restored-capacity right-hand sides is independent of the traffic
-/// matrix, so a diurnal sweep can build this once and re-solve it per
-/// interval (see [`ArrowOnline`]).
-#[derive(Debug, Clone)]
-pub(crate) struct Phase1Model {
-    /// The shared skeleton plus all Phase-I rows and slack variables.
-    pub base: BaseModel,
-    /// `arw5` rows: `(row, qi, zi, index into ticket.restored)`. The rhs
-    /// is the ticket's restored capacity `r_e^{z,q}` for that entry (one
-    /// row per used direction, both share the same `r`).
-    r_rows: Vec<(ConId, usize, usize, usize)>,
-    /// `arw6` budget rows: `(row, qi, zi)`; rhs is `α · Σ_e r_e^{z,q}`.
-    m_rows: Vec<(ConId, usize, usize)>,
-}
-
 impl Arrow {
-    /// Phase I: selects the winning LotteryTicket per scenario.
-    pub fn phase1(&self, inst: &TeInstance) -> (Vec<usize>, f64) {
-        let p1 = self.build_phase1(inst);
-        let sol = arrow_lp::solve(&p1.base.model, &self.solver);
-        assert!(sol.status.is_usable(), "ARROW Phase I LP failed: {:?}", sol.status);
-        (self.select_winning(inst, &p1.base, &sol), sol.stats.solve_seconds)
-    }
-
     /// Builds the Phase I model (Table 2) without solving it.
-    pub(crate) fn build_phase1(&self, inst: &TeInstance) -> Phase1Model {
+    ///
+    /// Everything about the model except the demand bounds on `b_f` is
+    /// independent of the traffic matrix, so [`ArrowOnline`] builds it
+    /// once and re-solves it per interval.
+    fn build_phase1(&self, inst: &TeInstance) -> BaseModel {
         assert_eq!(
             self.tickets.per_scenario.len(),
             inst.scenarios.len(),
             "ticket set must align with the scenario list"
         );
         let mut base = base_model(inst);
-        let mut r_rows = Vec::new();
-        let mut m_rows = Vec::new();
         // Slack variables per (q, z, failed link e).
         let mut slack_vars: Vec<Vec<Vec<(usize, VarId)>>> = Vec::new(); // [q][z] -> (link, Δ)
         for (qi, scen) in inst.scenarios.iter().enumerate() {
@@ -160,7 +133,7 @@ impl Arrow {
                 // healthy capacity, restored capacity is per direction.
                 let mut slacks = Vec::new();
                 let mut m_bound = LinExpr::new();
-                for (ri, &(link, r)) in ticket.restored.iter().enumerate() {
+                for &(link, r) in &ticket.restored {
                     for fwd in [true, false] {
                         // Load of restorable tunnels crossing (link, dir).
                         let users: Vec<VarId> = y
@@ -187,22 +160,19 @@ impl Arrow {
                         );
                         let mut e = LinExpr::sum_vars(users);
                         e.add_term(delta, -1.0);
-                        let con = base.model.add_con(
+                        base.model.add_con(
                             e,
                             Sense::Le,
                             r,
                             format!("arw5_e{}_{fwd}_q{qi}_z{zi}", link.0),
                         );
-                        r_rows.push((con, qi, zi, ri));
                         m_bound.add_term(delta, 1.0);
                         slacks.push((link.0, delta));
                     }
                 }
                 if !slacks.is_empty() {
                     let m = self.alpha * ticket.total_gbps();
-                    let con =
-                        base.model.add_con(m_bound, Sense::Le, m, format!("arw6_q{qi}_z{zi}"));
-                    m_rows.push((con, qi, zi));
+                    base.model.add_con(m_bound, Sense::Le, m, format!("arw6_q{qi}_z{zi}"));
                 }
                 per_ticket.push(slacks);
             }
@@ -219,17 +189,12 @@ impl Arrow {
             }
         }
         base.model.set_objective(obj, arrow_lp::Objective::Maximize);
-        Phase1Model { base, r_rows, m_rows }
+        base
     }
 
     /// Post-processing on a Phase I solution: the winning ticket per
     /// scenario.
-    pub(crate) fn select_winning(
-        &self,
-        inst: &TeInstance,
-        base: &BaseModel,
-        sol: &Solution,
-    ) -> Vec<usize> {
+    fn select_winning(&self, inst: &TeInstance, base: &BaseModel, sol: &Solution) -> Vec<usize> {
         // Winning ticket per scenario: the paper's criterion is
         // `min_z Σ_e max(0, Δ_e^{z,q})`. The LP leaves Δ degenerate when
         // capacity is plentiful (many exact ties), so the score is
@@ -297,22 +262,8 @@ impl Arrow {
         winning
     }
 
-    /// Phase II: final allocation under the winning tickets.
-    pub fn phase2(&self, inst: &TeInstance, winning: &[usize]) -> (SchemeOutput, f64) {
-        let (base, plan) = self.build_phase2(inst, winning);
-        let sol = arrow_lp::solve(&base.model, &self.solver);
-        assert!(sol.status.is_usable(), "ARROW Phase II LP failed: {:?}", sol.status);
-        (
-            SchemeOutput {
-                alloc: extract_alloc(inst, &base, &sol, "ARROW"),
-                restoration: Some(plan),
-            },
-            sol.stats.solve_seconds,
-        )
-    }
-
     /// Builds the Phase II model (Table 3) without solving it.
-    pub(crate) fn build_phase2(
+    fn build_phase2(
         &self,
         inst: &TeInstance,
         winning: &[usize],
@@ -371,50 +322,6 @@ impl Arrow {
         }
         (base, plan)
     }
-
-    /// Full two-phase solve with timing and solver-observability detail.
-    pub fn solve_detailed(&self, inst: &TeInstance) -> ArrowOutcome {
-        let (p1, sol1) = {
-            let _span = arrow_obs::span!(
-                "te.phase1",
-                "flows" => inst.flows.len(),
-                "scenarios" => inst.scenarios.len(),
-                "warm" => false,
-            );
-            let p1 = self.build_phase1(inst);
-            let sol1 = arrow_lp::solve(&p1.base.model, &self.solver);
-            (p1, sol1)
-        };
-        assert!(sol1.status.is_usable(), "ARROW Phase I LP failed: {:?}", sol1.status);
-        let winning = {
-            let _span = arrow_obs::span!("te.select", "scenarios" => inst.scenarios.len());
-            self.select_winning(inst, &p1.base, &sol1)
-        };
-        let (base2, plan, sol2) = {
-            let _span = arrow_obs::span!(
-                "te.phase2",
-                "flows" => inst.flows.len(),
-                "cached" => false,
-            );
-            let (base2, plan) = self.build_phase2(inst, &winning);
-            let sol2 = arrow_lp::solve(&base2.model, &self.solver);
-            (base2, plan, sol2)
-        };
-        assert!(sol2.status.is_usable(), "ARROW Phase II LP failed: {:?}", sol2.status);
-        let mut output = SchemeOutput {
-            alloc: extract_alloc(inst, &base2, &sol2, "ARROW"),
-            restoration: Some(plan),
-        };
-        output.alloc.solve_seconds = sol1.stats.solve_seconds + sol2.stats.solve_seconds;
-        ArrowOutcome {
-            output,
-            winning,
-            phase1_seconds: sol1.stats.solve_seconds,
-            phase2_seconds: sol2.stats.solve_seconds,
-            phase1_stats: sol1.stats,
-            phase2_stats: sol2.stats,
-        }
-    }
 }
 
 impl TeScheme for Arrow {
@@ -423,7 +330,7 @@ impl TeScheme for Arrow {
     }
 
     fn solve(&self, inst: &TeInstance) -> SchemeOutput {
-        self.solve_detailed(inst).output
+        ArrowOnline::new(self.clone(), inst).solve(inst).output
     }
 }
 
@@ -442,12 +349,14 @@ impl TeScheme for Arrow {
 ///   seeded from the Phase I allocation (its `b`/`a` variables are the
 ///   shared prefix of both models).
 ///
-/// Changing the instance *structure* (flows, tunnels, scenarios) requires
-/// a new `ArrowOnline`; [`ArrowOnline::solve`] asserts the shape matches.
+/// The first solve has nothing cached and is the cold two-phase solve.
+/// Changing the instance *structure* (flows, tunnels, scenarios) or the
+/// tickets requires a new `ArrowOnline`; [`ArrowOnline::solve`] asserts
+/// the shape matches.
 #[derive(Debug, Clone)]
 pub struct ArrowOnline {
     arrow: Arrow,
-    phase1: Phase1Model,
+    phase1: BaseModel,
     phase1_warm: Option<WarmStart>,
     phase2: Option<Phase2Cache>,
     /// `(flows, tunnels, scenarios)` of the instance the skeleton was
@@ -479,43 +388,6 @@ impl ArrowOnline {
         &self.arrow
     }
 
-    /// Swaps in a new ticket set with the **same support structure** (same
-    /// scenario count, tickets per scenario, and restored-link lists):
-    /// only the restored-capacity values `r_e^{z,q}` may differ. The
-    /// Phase I rows are patched in place; the Phase II cache is dropped
-    /// (its hard capacity rows bake in the old plan).
-    ///
-    /// Panics when the structure differs — rebuild with
-    /// [`ArrowOnline::new`] in that case.
-    pub fn update_tickets(&mut self, tickets: TicketSet) {
-        let old = &self.arrow.tickets;
-        assert_eq!(
-            old.per_scenario.len(),
-            tickets.per_scenario.len(),
-            "ticket update must keep the scenario count"
-        );
-        for (qi, (a, b)) in old.per_scenario.iter().zip(&tickets.per_scenario).enumerate() {
-            assert_eq!(a.len(), b.len(), "scenario {qi}: ticket count changed");
-            for (zi, (ta, tb)) in a.iter().zip(b).enumerate() {
-                let la: Vec<_> = ta.restored.iter().map(|&(l, _)| l).collect();
-                let lb: Vec<_> = tb.restored.iter().map(|&(l, _)| l).collect();
-                assert_eq!(la, lb, "scenario {qi} ticket {zi}: support changed");
-            }
-        }
-        for &(con, qi, zi, ri) in &self.phase1.r_rows {
-            let (_, r) = tickets.per_scenario[qi][zi].restored[ri];
-            self.phase1.base.model.set_rhs(con, r);
-        }
-        for &(con, qi, zi) in &self.phase1.m_rows {
-            let m = self.arrow.alpha * tickets.per_scenario[qi][zi].total_gbps();
-            self.phase1.base.model.set_rhs(con, m);
-        }
-        self.arrow.tickets = tickets;
-        // The cached Phase II model hard-codes the old winning tickets'
-        // capacities; the Phase I warm basis stays valid (same pattern).
-        self.phase2 = None;
-    }
-
     /// One online interval: patch demands, warm-solve Phase I, pick the
     /// winners, warm-solve Phase II.
     ///
@@ -537,19 +409,15 @@ impl ArrowOnline {
             );
             // Demand enters Phase I only through the b_f upper bounds.
             for (fi, f) in inst.flows.iter().enumerate() {
-                self.phase1.base.model.set_bounds(self.phase1.base.b[fi], 0.0, f.demand_gbps);
+                self.phase1.model.set_bounds(self.phase1.b[fi], 0.0, f.demand_gbps);
             }
-            arrow_lp::solve_with(
-                &self.phase1.base.model,
-                &self.arrow.solver,
-                self.phase1_warm.as_ref(),
-            )
+            arrow_lp::solve_with(&self.phase1.model, &self.arrow.solver, self.phase1_warm.as_ref())
         };
         assert!(sol1.status.is_usable(), "ARROW Phase I LP failed: {:?}", sol1.status);
         self.phase1_warm = sol1.warm_start();
         let winning = {
             let _span = arrow_obs::span!("te.select", "scenarios" => inst.scenarios.len());
-            self.arrow.select_winning(inst, &self.phase1.base, &sol1)
+            self.arrow.select_winning(inst, &self.phase1, &sol1)
         };
         let cache_valid = self.phase2.as_ref().is_some_and(|c| c.winning == winning);
         let (sol2, alloc, plan) = {
@@ -587,14 +455,7 @@ impl ArrowOnline {
         };
         let mut output = SchemeOutput { alloc, restoration: Some(plan) };
         output.alloc.solve_seconds = sol1.stats.solve_seconds + sol2.stats.solve_seconds;
-        ArrowOutcome {
-            output,
-            winning,
-            phase1_seconds: sol1.stats.solve_seconds,
-            phase2_seconds: sol2.stats.solve_seconds,
-            phase1_stats: sol1.stats,
-            phase2_stats: sol2.stats,
-        }
+        ArrowOutcome { output, winning, phase1_stats: sol1.stats, phase2_stats: sol2.stats }
     }
 }
 
@@ -618,11 +479,13 @@ impl TeScheme for ArrowNaive {
             alpha: 0.1,
             solver: self.solver.clone(),
         };
-        let winning = vec![0; inst.scenarios.len()];
-        let (mut output, secs) = arrow.phase2(inst, &winning);
-        output.alloc.scheme = self.name();
-        output.alloc.solve_seconds = secs;
-        output
+        let (base, plan) = arrow.build_phase2(inst, &vec![0; inst.scenarios.len()]);
+        let sol = arrow_lp::solve(&base.model, &self.solver);
+        assert!(sol.status.is_usable(), "ARROW-Naive Phase II LP failed: {:?}", sol.status);
+        SchemeOutput {
+            alloc: extract_alloc(inst, &base, &sol, &self.name()),
+            restoration: Some(plan),
+        }
     }
 }
 
@@ -731,8 +594,9 @@ mod tests {
             RestorationTicket { restored: vec![(link, 0.0)] },
             RestorationTicket { restored: vec![(link, cap)] },
         ];
-        let arrow = Arrow::new(TicketSet::full(per_scenario));
-        let outcome = arrow.solve_detailed(&inst.scaled(4.0));
+        let loaded = inst.scaled(4.0);
+        let outcome =
+            ArrowOnline::new(Arrow::new(TicketSet::full(per_scenario)), &loaded).solve(&loaded);
         // The full-restoration candidate must win scenario 0.
         assert_eq!(outcome.winning[0], 1, "full-restoration ticket should win");
     }
@@ -811,30 +675,31 @@ mod tests {
 
     #[test]
     fn online_first_solve_matches_cold_exactly() {
-        // The first ArrowOnline solve has no warm state: it must agree
-        // with the one-shot path on winners and allocation.
+        // The first ArrowOnline solve has no warm state: it is the cold
+        // solve, so the one-shot TeScheme path agrees with it exactly.
         let inst = instance(4.0, 6);
         let arrow = Arrow::new(half_or_nothing_tickets(&inst));
-        let cold = arrow.solve_detailed(&inst);
+        let cold = arrow.solve(&inst);
         let mut online = ArrowOnline::new(arrow, &inst);
         let first = online.solve(&inst);
-        assert_eq!(first.winning, cold.winning, "winning tickets must match cold");
-        let (ta, tb) = (cold.output.alloc.throughput(&inst), first.output.alloc.throughput(&inst));
-        assert!((ta - tb).abs() < 1e-9, "throughput {tb} != cold {ta}");
+        assert_eq!(first.output.restoration, cold.restoration, "winning tickets must match cold");
+        assert_eq!(first.output.alloc.b, cold.alloc.b, "admitted demand must match cold");
+        assert_eq!(first.output.alloc.a, cold.alloc.a, "tunnel allocation must match cold");
         assert_eq!(first.phase1_stats.warm, arrow_lp::WarmEvent::Cold);
     }
 
     #[test]
     fn online_warm_resolve_matches_cold_across_demand_sweep() {
         // B4 Phase II warm-start regression: re-solving shifted demand
-        // matrices warm must reproduce the cold winners and objective.
+        // matrices warm must reproduce a fresh solver's winners and
+        // objective.
         let inst = instance(4.0, 6);
         let arrow = Arrow::new(half_or_nothing_tickets(&inst));
         let mut online = ArrowOnline::new(arrow.clone(), &inst);
         for scale in [1.0, 1.25, 0.8] {
             let shifted = inst.scaled(scale);
             let warm = online.solve(&shifted);
-            let cold = arrow.solve_detailed(&shifted);
+            let cold = ArrowOnline::new(arrow.clone(), &shifted).solve(&shifted);
             assert_eq!(warm.winning, cold.winning, "scale {scale}: winners diverged");
             let (tw, tc) =
                 (warm.output.alloc.throughput(&shifted), cold.output.alloc.throughput(&shifted));
@@ -847,29 +712,6 @@ mod tests {
         let again = online.solve(&inst.scaled(1.1));
         assert_ne!(again.phase1_stats.warm, arrow_lp::WarmEvent::Cold);
         assert_ne!(again.phase2_stats.warm, arrow_lp::WarmEvent::Cold);
-    }
-
-    #[test]
-    fn online_ticket_update_patches_in_place() {
-        // Same supports, different capacities: update_tickets must steer
-        // later solves exactly like a fresh solver with the new set.
-        let inst = instance(4.0, 4);
-        let base = half_or_nothing_tickets(&inst);
-        let mut richer = base.clone();
-        for per in &mut richer.per_scenario {
-            for (_, r) in &mut per[0].restored {
-                *r *= 2.0; // half -> full restoration
-            }
-        }
-        let mut online = ArrowOnline::new(Arrow::new(base), &inst);
-        let _ = online.solve(&inst);
-        online.update_tickets(richer.clone());
-        let patched = online.solve(&inst);
-        let fresh = Arrow::new(richer).solve_detailed(&inst);
-        assert_eq!(patched.winning, fresh.winning);
-        let (tp, tf) =
-            (patched.output.alloc.throughput(&inst), fresh.output.alloc.throughput(&inst));
-        assert!((tp - tf).abs() <= 1e-6 * (1.0 + tf.abs()), "patched {tp} vs fresh {tf}");
     }
 
     #[test]
@@ -886,7 +728,7 @@ mod tests {
     fn mismatched_ticket_set_panics() {
         let inst = instance(1.0, 5);
         let bad = TicketSet::none(inst.scenarios.len() + 1);
-        let _ = Arrow::new(bad).phase1(&inst);
+        let _ = ArrowOnline::new(Arrow::new(bad), &inst);
     }
 
     #[test]
@@ -903,7 +745,8 @@ mod tests {
             RestorationTicket { restored: vec![(link, 0.25 * cap)] },
             RestorationTicket { restored: vec![(link, cap)] }, // same support
         ];
-        let outcome = Arrow::new(TicketSet::full(per_scenario)).solve_detailed(&inst);
+        let outcome =
+            ArrowOnline::new(Arrow::new(TicketSet::full(per_scenario)), &inst).solve(&inst);
         assert_eq!(outcome.winning[0], 1, "larger-capacity ticket should win");
     }
 }

@@ -1,8 +1,9 @@
 //! Full-pipeline run report through the `arrow-obs` layer.
 //!
 //! Runs the complete ARROW pipeline on B4 — offline LotteryTicket
-//! generation, then a nine-interval diurnal replay through the warm online
-//! path — with a `FileSubscriber` installed, and writes:
+//! generation, then a nine-interval diurnal replay through
+//! `ArrowController::plan_epoch` (one cold epoch that builds the online
+//! cache, then eight warm ones) — with a `FileSubscriber` installed, and writes:
 //!
 //! * `trace.jsonl` — every span and event, one JSON record per line
 //!   (span ends re-carry their fields plus a `duration_nanos`), and
@@ -71,14 +72,16 @@ fn main() {
     let mut ctl = ArrowController::new(wan, scens, cfg);
     println!("offline: {}", ctl.offline().stats.summary());
 
-    // Online stage: diurnal replay over the warm path (one `epoch` span
+    // Online stage: diurnal replay through plan_epoch (one `epoch` span
     // per interval, each wrapping te.phase1 / te.select / te.phase2).
+    // The first epoch builds the online cache; the other eight reuse it.
     let tm = gravity_matrices(&ctl.wan, &TrafficConfig { num_matrices: 1, ..Default::default() })
         [0]
     .scaled(3.0);
     let slo_met_before = arrow_wan::obs::metrics::snapshot().counter("slo.epoch.met");
     for (i, &scale) in DIURNAL.iter().enumerate() {
-        let plan = ctl.plan_warm(&tm.scaled(scale)).expect("valid offline state plans cleanly");
+        let (plan, _) =
+            ctl.plan_epoch(&tm.scaled(scale), None).expect("valid offline state plans cleanly");
         println!(
             "epoch {i}: scale {scale:.2} -> admitted {:.1} Gbps, winners {:?}",
             plan.outcome.output.alloc.total_admitted(),
@@ -194,10 +197,10 @@ fn main() {
     assert_eq!(finished("offline").len(), 1, "exactly one offline span");
     let epochs = finished("epoch");
     assert_eq!(epochs.len(), DIURNAL.len(), "one epoch span per diurnal interval");
-    assert!(
-        epochs.iter().all(|e| e.field("mode").and_then(FieldValue::as_str) == Some("warm")),
-        "diurnal replay runs the warm path"
-    );
+    let modes: Vec<_> =
+        epochs.iter().map(|e| e.field("mode").and_then(FieldValue::as_str)).collect();
+    assert_eq!(modes[0], Some("cold"), "the first epoch builds the online cache");
+    assert!(modes[1..].iter().all(|&m| m == Some("warm")), "later epochs reuse the cache");
     for phase in ["te.phase1", "te.select", "te.phase2"] {
         let spans = finished(phase);
         assert_eq!(spans.len(), DIURNAL.len(), "one {phase} span per epoch");

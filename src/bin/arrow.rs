@@ -155,7 +155,7 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
         &FailureConfig { max_scenarios: flag(&flags, "scenarios", 6usize)?, ..Default::default() },
     );
     let tms = gravity_matrices(&wan, &TrafficConfig { num_matrices: 1, ..Default::default() });
-    let controller = ArrowController::new(
+    let mut controller = ArrowController::new(
         wan,
         failures.failure_scenarios().to_vec(),
         ControllerConfig {
@@ -168,15 +168,16 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
         },
     );
     let scale: f64 = flag(&flags, "scale", 1.0f64)?;
-    let plan = controller.plan(&tms[0].scaled(scale)).map_err(|e| e.to_string())?;
+    let (plan, _) =
+        controller.plan_epoch(&tms[0].scaled(scale), None).map_err(|e| e.to_string())?;
     let alloc = &plan.outcome.output.alloc;
     println!("offline: {}", controller.offline().stats.summary());
     println!(
         "admitted {:.0} Gbps ({:.1}% of demand) | phase I {:.2}s + phase II {:.2}s",
         alloc.total_admitted(),
         100.0 * alloc.throughput(&plan.instance),
-        plan.outcome.phase1_seconds,
-        plan.outcome.phase2_seconds
+        plan.outcome.phase1_stats.solve_seconds,
+        plan.outcome.phase2_stats.solve_seconds
     );
     println!("winning tickets: {:?}", plan.outcome.winning);
     println!("{} ROADM reconfiguration rules pre-installed", plan.reconfig_rules.len());

@@ -97,7 +97,7 @@ fn controller_pipeline_on_ibm() {
     let failures =
         generate_failures(&wan, &FailureConfig { max_scenarios: 4, ..Default::default() });
     let tms = gravity_matrices(&wan, &TrafficConfig { num_matrices: 1, ..Default::default() });
-    let controller = ArrowController::new(
+    let mut controller = ArrowController::new(
         wan,
         failures.failure_scenarios().to_vec(),
         ControllerConfig {
@@ -106,7 +106,7 @@ fn controller_pipeline_on_ibm() {
             ..Default::default()
         },
     );
-    let plan = controller.plan(&tms[0]).expect("complete offline state");
+    let (plan, _) = controller.plan_epoch(&tms[0], None).expect("complete offline state");
     assert_eq!(plan.outcome.winning.len(), 4);
     // Reconfig rules must not oversubscribe spectrum: every (fiber, slot)
     // appears at most once per scenario.
